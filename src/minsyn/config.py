@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .nn import DECODER_KINDS, MINSYN_KINDS, ACTIVATIONS, Regularizer, TrainConfig
+from .nn import DECODER_KINDS, ACTIVATIONS, Regularizer, TrainConfig
 from .noise import NOISE_KINDS
 
 DATA_DIR_ENV = "MINSYN_DATA_DIR"

@@ -4,14 +4,17 @@ The decoders here are fixed functions of the pairwise statistics between
 outputs X_i and latents Z_j: the Gaussian variant applies the
 conditionally-independent posterior weights row by row, the binary variant
 is the naive-Bayes log-odds readout.  Statistics are accumulated as raw
-moments so they can be blended across batches with a moving average and the
-derived quantities (correlations, conditionals) recomputed on demand.
+moments so they can be blended across batches with a moving average.  The
+statistics objects are immutable, so the derived quantities (correlations,
+conditionals) and the readout built from them are computed once per object,
+on first use, and cached on it as read-only arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +24,20 @@ EPS = 1e-4
 STD_FLOOR = 1e-6
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only: every caller shares it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GaussianStats:
     """Raw first/second moments of a batch of outputs x and latents z.
 
     Derived views: per-variable standard deviations (floored at 1e-6) and the
-    n x m correlation matrix rho (clamped to +-(1 - 1e-4)).
+    n x m correlation matrix rho (clamped to +-(1 - 1e-4)).  They and
+    ``readout`` are built on first access and cached, read-only; the raw
+    moments must not be changed in place.
     """
 
     x_mean: np.ndarray
@@ -52,19 +63,42 @@ class GaussianStats:
     def m(self) -> int:
         return self.z_mean.size
 
-    @property
+    @cached_property
     def x_std(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.x_sq_mean - self.x_mean ** 2, STD_FLOOR ** 2, None))
+        var = np.clip(self.x_sq_mean - self.x_mean ** 2, STD_FLOOR ** 2, None)
+        return _frozen(np.sqrt(var))
 
-    @property
+    @cached_property
     def z_std(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.z_sq_mean - self.z_mean ** 2, STD_FLOOR ** 2, None))
+        var = np.clip(self.z_sq_mean - self.z_mean ** 2, STD_FLOOR ** 2, None)
+        return _frozen(np.sqrt(var))
 
-    @property
+    @cached_property
     def rho(self) -> np.ndarray:
         cov = self.xz_mean - np.outer(self.x_mean, self.z_mean)
         r = cov / np.outer(self.x_std, self.z_std)
-        return np.clip(r, -(1.0 - EPS), 1.0 - EPS)
+        return _frozen(np.clip(r, -(1.0 - EPS), 1.0 - EPS))
+
+    @cached_property
+    def readout(self) -> DecoderParams:
+        """Conditionally-independent posterior weights, row per output,
+        expressed in raw (de-standardized) coordinates:
+
+            xbar_i = x_mean_i + x_std_i * sum_j u_ij (z_j - z_mean_j) / z_std_j
+
+        with u_ij the standardized posterior weights and variance
+        x_std_i^2 / (1 + R_i).
+        """
+        r = self.rho
+        r2 = r ** 2
+        one_minus_r2 = 1.0 - r2
+        one_plus_big_r = 1.0 + (r2 / one_minus_r2).sum(axis=1)
+        u = (r / one_minus_r2) / one_plus_big_r[:, None]
+        weights = u * np.outer(self.x_std, 1.0 / self.z_std)
+        bias = self.x_mean - weights @ self.z_mean
+        variance = self.x_std ** 2 / one_plus_big_r
+        return DecoderParams(weights=_frozen(weights), bias=_frozen(bias),
+                             variance=_frozen(variance))
 
 
 @dataclass(frozen=True)
@@ -76,7 +110,9 @@ class BinaryStats:
     An output with (almost) no mass on one side, E[x_i] outside
     [1e-4, 1 - 1e-4], gives the latents nothing to condition on; both its
     conditionals then fall back to the latent marginals, so such an output
-    draws zero evidence weight instead of a clamp artifact.
+    draws zero evidence weight instead of a clamp artifact.  The derived
+    views and ``readout`` are built on first access and cached, read-only;
+    the raw moments must not be changed in place.
     """
 
     x_mean: np.ndarray
@@ -97,25 +133,45 @@ class BinaryStats:
     def m(self) -> int:
         return self.z_mean.size
 
-    @property
+    @cached_property
     def px1(self) -> np.ndarray:
-        return np.clip(self.x_mean, EPS, 1.0 - EPS)
+        return _frozen(np.clip(self.x_mean, EPS, 1.0 - EPS))
 
-    @property
+    @cached_property
     def _supported(self) -> np.ndarray:
-        return (self.x_mean >= EPS) & (self.x_mean <= 1.0 - EPS)
+        return _frozen((self.x_mean >= EPS) & (self.x_mean <= 1.0 - EPS))
 
-    @property
+    @cached_property
     def pz1_given_x1(self) -> np.ndarray:
         cond = self.xz_mean / self.px1[:, None]
         cond = np.where(self._supported[:, None], cond, self.z_mean[None, :])
-        return np.clip(cond, EPS, 1.0 - EPS)
+        return _frozen(np.clip(cond, EPS, 1.0 - EPS))
 
-    @property
+    @cached_property
     def pz1_given_x0(self) -> np.ndarray:
         cond = (self.z_mean[None, :] - self.xz_mean) / (1.0 - self.px1)[:, None]
         cond = np.where(self._supported[:, None], cond, self.z_mean[None, :])
-        return np.clip(cond, EPS, 1.0 - EPS)
+        return _frozen(np.clip(cond, EPS, 1.0 - EPS))
+
+    @cached_property
+    def readout(self) -> DecoderParams:
+        """Naive-Bayes log-odds readout of binary outputs from binary latents:
+
+            b_i   = ln(p(X_i=1)/p(X_i=0)) + sum_j ln(p(Z_j=0|X_i=1)/p(Z_j=0|X_i=0))
+            w_ij  = ln( p(Z_j=1|X_i=1) p(Z_j=0|X_i=0)
+                      / (p(Z_j=0|X_i=1) p(Z_j=1|X_i=0)) )
+
+        so that sigmoid(w . z + b) equals the Bayes posterior whenever the
+        latents really are conditionally independent given each output.
+        """
+        p1 = self.px1
+        q1 = self.pz1_given_x1
+        q0 = self.pz1_given_x0
+        not_q1 = 1.0 - q1
+        not_q0 = 1.0 - q0
+        weights = np.log(q1 * not_q0) - np.log(not_q1 * q0)
+        bias = np.log(p1 / (1.0 - p1)) + np.log(not_q1 / not_q0).sum(axis=1)
+        return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
 @dataclass(frozen=True)
@@ -187,40 +243,15 @@ def binary_batch_stats(x_batch, z_batch) -> BinaryStats:
 
 
 def gaussian_decoder_params(stats: GaussianStats) -> DecoderParams:
-    """Conditionally-independent posterior weights, row per output, expressed
-    in raw (de-standardized) coordinates:
-
-        xbar_i = x_mean_i + x_std_i * sum_j u_ij (z_j - z_mean_j) / z_std_j
-
-    with u_ij the standardized posterior weights and variance
-    x_std_i^2 / (1 + R_i).
-    """
-    r = stats.rho
-    prec = r ** 2 / (1.0 - r ** 2)
-    big_r = prec.sum(axis=1)
-    u = (r / (1.0 - r ** 2)) / (1.0 + big_r)[:, None]
-    weights = u * np.outer(stats.x_std, 1.0 / stats.z_std)
-    bias = stats.x_mean - weights @ stats.z_mean
-    variance = stats.x_std ** 2 / (1.0 + big_r)
-    return DecoderParams(weights=weights, bias=bias, variance=variance)
+    """The conditionally-independent posterior readout of ``stats`` (see
+    ``GaussianStats.readout``), built once per statistics object."""
+    return stats.readout
 
 
 def binary_decoder_params(stats: BinaryStats) -> DecoderParams:
-    """Naive-Bayes log-odds readout of binary outputs from binary latents:
-
-        b_i   = ln(p(X_i=1)/p(X_i=0)) + sum_j ln(p(Z_j=0|X_i=1)/p(Z_j=0|X_i=0))
-        w_ij  = ln( p(Z_j=1|X_i=1) p(Z_j=0|X_i=0)
-                  / (p(Z_j=0|X_i=1) p(Z_j=1|X_i=0)) )
-
-    so that sigmoid(w . z + b) equals the Bayes posterior whenever the
-    latents really are conditionally independent given each output.
-    """
-    p1 = stats.px1
-    q1 = stats.pz1_given_x1
-    q0 = stats.pz1_given_x0
-    weights = np.log(q1 * (1.0 - q0)) - np.log((1.0 - q1) * q0)
-    bias = np.log(p1 / (1.0 - p1)) + np.log((1.0 - q1) / (1.0 - q0)).sum(axis=1)
-    return DecoderParams(weights=weights, bias=bias)
+    """The naive-Bayes log-odds readout of ``stats`` (see
+    ``BinaryStats.readout``), built once per statistics object."""
+    return stats.readout
 
 
 @dataclass(frozen=True)
@@ -248,8 +279,9 @@ def update_moving_average(state: MovingAverageState, batch) -> MovingAverageStat
     """Blend one batch of statistics into the running average.
 
     ``batch`` must be the same statistics type (and shapes) as the running
-    value; derived quantities are recomputed lazily from the blended raw
-    moments, never averaged themselves.
+    value.  Every update returns a new statistics object, so its derived
+    quantities and readout are rebuilt lazily from the blended raw moments,
+    never averaged themselves, and no cached readout can go stale.
     """
     if state.step_count == 0 or state.stats is None:
         return MovingAverageState(stats=batch, momentum=state.momentum, step_count=1)

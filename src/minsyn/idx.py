@@ -21,8 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC_UBYTE_LABELS = 0x00000801
-MAGIC_UBYTE_IMAGES = 0x00000803
 _DTYPE_UBYTE = 0x08
 _DTYPE_INT32 = 0x0C
 

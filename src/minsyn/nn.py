@@ -47,12 +47,18 @@ class TrainingDivergedError(RuntimeError):
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v, dtype=float)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """Overflow-free logistic exp(min(v, 0)) / (1 + exp(-|v|)): bit for bit
+    1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) for v < 0, with no
+    branch and no temporaries beyond its two buffers."""
+    v = np.asarray(v, dtype=float)
+    num = np.minimum(v, 0.0, out=np.empty_like(v))
+    np.exp(num, out=num)
+    den = np.abs(v, out=np.empty_like(v))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num /= den
+    return num
 
 
 def softplus(v: np.ndarray) -> np.ndarray:
@@ -214,7 +220,7 @@ class AutoencoderModel:
         the two families are not on one scale.
         """
         if self.decoder_kind in MINSYN_KINDS:
-            return self.decoder_params_from_average().weights
+            return self.decoder_params_from_average().weights.copy()
         return self.decoder.weights.copy()
 
 
@@ -256,7 +262,15 @@ def loss(x: np.ndarray, xbar: np.ndarray, kind: str) -> float:
             if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
                 raise ValueError(f"bce requires {name} in [0, 1]")
         xc = np.clip(xb, BCE_CLAMP, 1.0 - BCE_CLAMP)
-        terms = -(x * np.log(xc) + (1.0 - x) * np.log1p(-xc))
+        # -(x * log(xc) + (1 - x) * log1p(-xc)) in its own operation order, so
+        # the floats do not change, but in place to skip the temporaries.
+        terms = np.log(xc)
+        terms *= x
+        np.negative(xc, out=xc)
+        np.log1p(xc, out=xc)
+        xc *= 1.0 - x
+        terms += xc
+        np.negative(terms, out=terms)
         return float(terms.sum(axis=-1).mean())
     raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
 
@@ -422,7 +436,8 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
         below = cache.post[i - 1] if i > 0 else cache.x_input
         grads[f"encoder.{i}.weights"] = d_a.T @ below
         grads[f"encoder.{i}.bias"] = d_a.sum(axis=0)
-        d_h = d_a @ layer.weights
+        if i > 0:  # the gradient with respect to the input has no reader
+            d_h = d_a @ layer.weights
     return loss_value, grads, cache.batch_stats
 
 
@@ -453,9 +468,15 @@ def adam_step(state: AdamState, params: dict, grads: dict):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g ** 2
+        # p -= lr * m_hat / (sqrt(v_hat) + eps) in its own operation order, so
+        # the floats do not change, but in place to skip the temporaries.
         m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        denom = v / (1.0 - b2 ** state.t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        m_hat *= state.lr
+        m_hat /= denom
+        p -= m_hat
     return params, state
 
 
@@ -490,7 +511,8 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
 
     Deterministic given config.seed: one generator drives initialization,
     shuffling and regularizer noise in a fixed order.  A trailing batch of a
-    single sample is dropped (batch statistics need at least two).
+    single sample is dropped (batch statistics need at least two); that is
+    logged once per run.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -504,13 +526,15 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
     params = model.parameters()
     history = []
     minsyn = config.decoder_kind in MINSYN_KINDS
+    if config.epochs and n_samples % config.batch_size == 1:
+        log.info("dropping the trailing batch of one sample in each of the %d epochs",
+                 config.epochs)
     for epoch in range(config.epochs):
         order = rng.permutation(n_samples)
         batch_losses = []
         for start in range(0, n_samples, config.batch_size):
             idx = order[start:start + config.batch_size]
             if idx.size == 1:
-                log.info("dropping trailing batch of one sample at epoch %d", epoch)
                 continue
             batch = data[idx]
             loss_value, grads, stats = gradients(model, batch, rng=rng,
@@ -530,7 +554,9 @@ def pca_fit(data, k: int):
 
     Returns (components, mean) with components (k, n) ordered by decreasing
     eigenvalue; each component's largest-magnitude entry is made positive so
-    the decomposition is deterministic.
+    the decomposition is deterministic.  The components are the leading right
+    singular vectors of the centred data, so the n x n covariance is never
+    formed.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -539,11 +565,10 @@ def pca_fit(data, k: int):
     if not (1 <= k <= min(n_samples, n_features)):
         raise ValueError(f"k={k} out of range for data {x.shape}")
     mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / n_samples
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:k]
-    components = eigvecs[:, order].T
+    # Singular values come out in decreasing order, so the first k rows are
+    # the components of largest variance.
+    _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
+    components = vt[:k].copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0

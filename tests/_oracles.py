@@ -221,12 +221,47 @@ def finite_difference_gradients(loss_of_params, params: dict, h: float = 1e-5):
     return grads
 
 
+def pca_directions_eigh(data: np.ndarray, k: int) -> np.ndarray:
+    """Top-k principal directions (n, k) by a full eigensolve of the n x n
+    covariance."""
+    xc = data - data.mean(axis=0)
+    cov = xc.T @ xc / data.shape[0]
+    vals, vecs = np.linalg.eigh(cov)
+    return vecs[:, np.argsort(vals)[::-1][:k]]
+
+
 def pca_reconstruction_mse(data: np.ndarray, k: int) -> float:
     """Reconstruction error through the top-k eigenvectors, full eigensolve."""
     mean = data.mean(axis=0)
     xc = data - mean
-    cov = xc.T @ xc / data.shape[0]
-    vals, vecs = np.linalg.eigh(cov)
-    top = vecs[:, np.argsort(vals)[::-1][:k]]
+    top = pca_directions_eigh(data, k)
     recon = mean + (xc @ top) @ top.T
     return float(((data - recon) ** 2).sum(axis=1).mean())
+
+
+def sigmoid_two_branch(v: np.ndarray) -> np.ndarray:
+    """Logistic by masked branches: 1/(1+e^-v) where v >= 0, e^v/(1+e^v)
+    elsewhere."""
+    out = np.empty_like(v, dtype=float)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def bce_textbook(x: np.ndarray, xbar: np.ndarray, clamp: float) -> float:
+    """Clamped binary cross-entropy, summed over features, mean over rows."""
+    xc = np.clip(xbar, clamp, 1.0 - clamp)
+    terms = -(x * np.log(xc) + (1.0 - x) * np.log1p(-xc))
+    return float(terms.sum(axis=-1).mean())
+
+
+def adam_textbook(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One bias-corrected Adam update written as the formula; returns new
+    (p, m, v) and leaves its arguments untouched."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g ** 2
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

@@ -1,10 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minsyn
 from minsyn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from minsyn.cli import main
 from minsyn.gaussian import GaussianSystem, gk_synergy
@@ -47,6 +51,17 @@ class TestDatasetBuild:
         for name in ("train_images.idx", "test_images.idx", "train_labels.idx",
                      "test_labels.idx", "manifest.json"):
             assert (word_data_dir / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_python_dash_m_runs_main(self, tmp_path):
+        out = tmp_path / "d"
+        src = str(Path(minsyn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "minsyn.cli", "dataset-build",
+                               "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "manifest.json").is_file()
 
     def test_missing_emnist_dir_exits_2(self, tmp_path, capsys):
         out = tmp_path / "w"

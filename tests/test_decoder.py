@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from minsyn.decoder import (
     gaussian_decoder_params,
     update_moving_average,
 )
-from minsyn.nn import sigmoid
+from minsyn.nn import TrainConfig, sigmoid, train_autoencoder
 
 from _oracles import bayes_posterior_binary, two_pass_correlations
 
@@ -187,6 +189,69 @@ class TestBinaryDecoderParams:
             params = binary_decoder_params(binary_batch_stats(x, z))
             assert np.isfinite(params.weights).all()
             assert np.isfinite(params.bias).all()
+
+
+def _random_stats(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        x = (rng.random((16, 30)) < rng.random(30)).astype(float)
+        return binary_batch_stats(x, rng.random((16, 4)))
+    return gaussian_batch_stats(rng.normal(size=(16, 30)), rng.normal(size=(16, 4)))
+
+
+READOUTS = {"binary": binary_decoder_params, "gaussian": gaussian_decoder_params}
+
+
+def _same_params(a, b) -> bool:
+    pairs = ((a.weights, b.weights), (a.bias, b.bias), (a.variance, b.variance))
+    return all((x is None and y is None)
+               or (x is not None and y is not None and x.tobytes() == y.tobytes())
+               for x, y in pairs)
+
+
+class TestReadoutCache:
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_second_call_is_the_cached_readout(self, kind):
+        stats = _random_stats(kind, 20)
+        first = READOUTS[kind](stats)
+        assert READOUTS[kind](stats) is first
+        fresh = type(stats)(**{f.name: getattr(stats, f.name).copy()
+                               for f in dataclasses.fields(stats)})
+        rebuilt = READOUTS[kind](fresh)
+        assert rebuilt is not first and _same_params(rebuilt, first)
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_cached_arrays_are_read_only(self, kind):
+        stats = _random_stats(kind, 21)
+        params = READOUTS[kind](stats)
+        views = [params.weights, params.bias, stats.x_std if kind == "gaussian" else stats.px1]
+        for arr in views:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("decoder_kind", ["minsyn_binary", "minsyn_gaussian"])
+    def test_weight_matrix_is_a_copy(self, decoder_kind):
+        data = (np.random.default_rng(22).random((8, 6)) < 0.5).astype(float)
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=0, lr=0.01,
+                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
+        model, _ = train_autoencoder(cfg, data)
+        before = model.decoder_params_from_average().weights.copy()
+        w = model.decoder_weight_matrix()
+        w += 1.0
+        assert np.array_equal(model.decoder_params_from_average().weights, before)
+        assert np.array_equal(model.decoder_weight_matrix(), before)
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_moving_average_update_rebuilds_the_readout(self, kind):
+        s1, s2 = _random_stats(kind, 23), _random_stats(kind, 24)
+        state = update_moving_average(MovingAverageState(stats=None, momentum=0.5), s1)
+        old = READOUTS[kind](state.stats)
+        state = update_moving_average(state, s2)
+        new = READOUTS[kind](state.stats)
+        assert not np.array_equal(new.weights, old.weights)
+        blended = type(s1)(**{f.name: 0.5 * getattr(s1, f.name) + 0.5 * getattr(s2, f.name)
+                              for f in dataclasses.fields(s1)})
+        assert _same_params(new, READOUTS[kind](blended))
 
 
 class TestMovingAverage:

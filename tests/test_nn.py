@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from minsyn.decoder import binary_decoder_params, gaussian_decoder_params
 from minsyn.nn import (
+    BCE_CLAMP,
     DECODER_KINDS,
     MINSYN_KINDS,
     AdamState,
@@ -24,7 +27,18 @@ from minsyn.nn import (
     train_autoencoder,
 )
 
-from _oracles import finite_difference_gradients, pca_reconstruction_mse
+from _oracles import (
+    adam_textbook,
+    bce_textbook,
+    finite_difference_gradients,
+    pca_directions_eigh,
+    pca_reconstruction_mse,
+    sigmoid_two_branch,
+)
+
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2250738585072014e-308, -2.2250738585072014e-308,
+                        800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7, 710.0, -745.2])
 
 REGULARIZERS = (
     Regularizer(),
@@ -86,7 +100,34 @@ class TestForward:
             assert np.array_equal(z, base[0]) and np.array_equal(xbar, base[1])
 
 
+class TestSigmoid:
+    def test_edge_values_match_two_branch_bit_for_bit(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(sigmoid(EDGE_VALUES), sigmoid_two_branch(EDGE_VALUES),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(16, 9), (16, 2352), (100, 128), (7,)])
+    def test_random_arrays_match_two_branch_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0])
+        v = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 30.0, 700.0], size=shape)
+        before = v.copy()
+        assert sigmoid(v).tobytes() == sigmoid_two_branch(v).tobytes()
+        assert np.array_equal(v, before)  # the input is not written
+
+    def test_scalar_input(self):
+        assert sigmoid(np.float64(0.0)) == 0.5
+
+
 class TestLoss:
+    def test_bce_matches_textbook_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = (rng.random((16, 50)) < 0.3).astype(float)
+        x[0] = rng.random(50)
+        xbar = sigmoid(rng.standard_normal((16, 50)) * 20)
+        xbar[1, :4] = [0.0, 1.0, 1e-9, 1.0 - 1e-12]
+        assert loss(x, xbar, "bce") == bce_textbook(x, xbar, BCE_CLAMP)
+        assert np.array_equal(xbar[1, :2], [0.0, 1.0])  # the input is not written
+
     def test_bce_perfect(self):
         x = np.array([[0.0, 1.0]])
         assert loss(x, x, "bce") <= 2 * 1e-7 * 20
@@ -180,6 +221,21 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
 
+    def test_matches_textbook_bit_for_bit_over_steps(self):
+        rng = np.random.default_rng(18)
+        shapes = {"w": (9, 40), "b": (9,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+        state = AdamState(lr=0.003)
+        for t in range(1, 8):
+            grads = {k: rng.standard_normal(s) * 10.0 ** (t - 4) for k, s in shapes.items()}
+            adam_step(state, params, grads)
+            for k, g in grads.items():
+                ref[k] = adam_textbook(*ref[k], g, t, lr=0.003)
+                assert params[k].tobytes() == ref[k][0].tobytes(), (k, t)
+                assert state.m[k].tobytes() == ref[k][1].tobytes()
+                assert state.v[k].tobytes() == ref[k][2].tobytes()
+
 
 class TestTraining:
     DATA = np.array([[1, 1, 0, 0, 1], [0, 0, 1, 1, 0],
@@ -225,6 +281,16 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train_autoencoder(cfg, data)
+
+    def test_dropped_trailing_batch_logged_once_per_run(self, caplog):
+        data = np.vstack([self.DATA, self.DATA[:1]])  # 5 samples, batch 2: 5 mod 2 = 1
+        cfg = TrainConfig(epochs=3, batch_size=2, seed=0, lr=0.01,
+                          decoder_kind="minsyn_binary", encoder_spec=((3, "sigmoid"),))
+        with caplog.at_level(logging.INFO, logger="minsyn.nn"):
+            model, history = train_autoencoder(cfg, data)
+        dropped = [r for r in caplog.records if "trailing batch" in r.getMessage()]
+        assert len(dropped) == 1
+        assert model.ma_state.step_count == 6 and len(history) == 3
 
     def test_minsyn_eval_uses_moving_average(self):
         cfg = TrainConfig(epochs=30, batch_size=2, seed=1, lr=0.01,
@@ -276,6 +342,21 @@ class TestPca:
         c2, _ = pca_fit(data.copy(), 2)
         assert np.array_equal(c1, c2)
         for row in c1:
+            assert row[np.argmax(np.abs(row))] > 0
+
+    def test_wide_data_spans_the_eigendecomposition_subspace(self):
+        # fewer samples than features, as on the word benchmark
+        rng = np.random.default_rng(19)
+        scores = rng.normal(size=(20, 6)) * [5.0, 4.0, 3.0, 2.0, 1.5, 1.0]
+        data = scores @ rng.normal(size=(6, 300)) + 0.05 * rng.normal(size=(20, 300))
+        comps, _ = pca_fit(data, 4)
+        assert comps.shape == (4, 300)
+        cosines = np.linalg.svd(comps @ pca_directions_eigh(data, 4), compute_uv=False)
+        assert cosines.min() >= 1.0 - 1e-9
+        assert np.allclose(comps @ comps.T, np.eye(4), atol=1e-12)
+        variances = ((data - data.mean(axis=0)) @ comps.T).var(axis=0)
+        assert np.all(np.diff(variances) < 0)
+        for row in comps:
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_k_out_of_range(self):
