@@ -17,8 +17,8 @@ Run:  python3 demos/digits_noise_robustness.py   (a few minutes)
 
 import numpy as np
 
-from minsyn.nn import TrainConfig, train_autoencoder, forward
-from minsyn.nn import loss as loss_fn
+from minsyn.metrics import reconstruction_loss
+from minsyn.nn import TrainConfig, train_autoencoder
 from minsyn.noise import NOISE_KINDS, apply_noise
 from minsyn.words import synthetic_digits
 
@@ -48,8 +48,7 @@ def main():
         corrupted = apply_noise(test_imgs, kind, seed=5)
         row = []
         for model in (minsyn, plain):
-            _, xbar = forward(model, corrupted, mode="eval")
-            row.append(loss_fn(test_imgs, xbar, "bce"))
+            row.append(reconstruction_loss(model, corrupted, "bce", target=test_imgs))
         marker = "  <-- fixed decoder wins" if row[0] < row[1] and kind != "none" else ""
         print(f"{kind:<14} {row[0]:>14.1f} {row[1]:>12.1f}{marker}")
     print("\n(loss: cross entropy between the clean test digits and the "

@@ -51,6 +51,7 @@ from .nn import (
     gradients,
     loss,
     pca_fit,
+    sample_losses,
     train_autoencoder,
 )
 from .idx import IdxParseError, IdxTensor, parse_idx, read_idx_file, write_idx, write_idx_file
@@ -63,6 +64,6 @@ from .words import (
     synthetic_digits,
 )
 from .noise import NOISE_KINDS, apply_noise
-from .metrics import acc_score, build_report, reconstruction_losses
+from .metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
 
 __version__ = "0.1.0"

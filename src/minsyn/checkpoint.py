@@ -15,6 +15,7 @@ round-trips byte for byte through load/save.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import BinaryStats, GaussianStats, MovingAverageState
-from .nn import AutoencoderModel, DenseLayer, MINSYN_KINDS, PcaModel
+from .nn import DECODER_LOSS, AutoencoderModel, DenseLayer, MINSYN_KINDS, PcaModel
 
 MAGIC = b"MSYNCKPT"
 FORMAT_VERSION = 1
@@ -112,17 +113,9 @@ def model_arrays(model, history) -> tuple:
         meta["ma_momentum"] = ma.momentum
         meta["ma_step_count"] = ma.step_count
         meta["ma_stats_kind"] = type(ma.stats).__name__
-        for name in _stats_fields(ma.stats):
-            arrays[f"ma.{name}"] = getattr(ma.stats, name)
+        for f in dataclasses.fields(ma.stats):
+            arrays[f"ma.{f.name}"] = getattr(ma.stats, f.name)
     return arrays, meta
-
-
-def _stats_fields(stats):
-    if isinstance(stats, GaussianStats):
-        return ("x_mean", "z_mean", "x_sq_mean", "z_sq_mean", "xz_mean")
-    if isinstance(stats, BinaryStats):
-        return ("x_mean", "z_mean", "xz_mean")
-    raise TypeError(f"unknown statistics type {type(stats).__name__}")
 
 
 def restore_model(ckpt: Checkpoint):
@@ -139,11 +132,8 @@ def restore_model(ckpt: Checkpoint):
     decoder = None
     ma = None
     if decoder_kind in MINSYN_KINDS:
-        if meta["ma_stats_kind"] == "GaussianStats":
-            cls, names = GaussianStats, ("x_mean", "z_mean", "x_sq_mean", "z_sq_mean", "xz_mean")
-        else:
-            cls, names = BinaryStats, ("x_mean", "z_mean", "xz_mean")
-        stats = cls(**{name: arrays[f"ma.{name}"] for name in names})
+        cls = GaussianStats if meta["ma_stats_kind"] == "GaussianStats" else BinaryStats
+        stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
         ma = MovingAverageState(stats=stats, momentum=meta["ma_momentum"],
                                 step_count=int(meta["ma_step_count"]))
     else:
@@ -152,4 +142,4 @@ def restore_model(ckpt: Checkpoint):
                              activation=meta["decoder_activation"])
     return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind,
                             decoder=decoder, ma_state=ma,
-                            loss_kind="bce" if decoder_kind in ("learned_sigmoid", "minsyn_binary") else "mse")
+                            loss_kind=DECODER_LOSS[decoder_kind])

@@ -20,8 +20,8 @@ from .checkpoint import load_checkpoint, model_arrays, restore_model, save_check
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      resolve_data_path)
 from .idx import IdxParseError, images_tensor, labels_tensor, read_idx_file, write_idx_file
-from .metrics import acc_score, build_report, reconstruct, reconstruction_losses
-from .nn import PcaModel, TrainingDivergedError, loss as loss_fn, pca_fit, train_autoencoder
+from .metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
+from .nn import PcaModel, TrainingDivergedError, pca_fit, train_autoencoder
 from .noise import NOISE_KINDS, apply_noise
 from .svg import line_plot_svg
 from .words import (WordDataset, build_word_dataset, builtin_glyphs,
@@ -189,8 +189,7 @@ def cmd_eval(args) -> int:
     printable = []
     for kind in kinds:
         corrupted = apply_noise(images, kind, seed=args.seed)
-        xbar = reconstruct(model, corrupted)
-        value = loss_fn(images, xbar, args.loss)
+        value = reconstruction_loss(model, corrupted, args.loss, target=images)
         rows.append(f"{kind},{value:.6g}")
         printable.append(f"  {kind:<12} {value:.6g}")
     csv = "\n".join(rows) + "\n"

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .nn import DECODER_KINDS, ACTIVATIONS, Regularizer, TrainConfig
+from .nn import DECODER_KINDS, ACTIVATIONS, REGULARIZER_KINDS, Regularizer, TrainConfig
 from .noise import NOISE_KINDS
 
 DATA_DIR_ENV = "MINSYN_DATA_DIR"
@@ -63,8 +63,7 @@ def _choice(options):
 
 def _regularizer(section, path) -> Regularizer:
     spec = _require_keys(section, path,
-                         {"kind": _choice(("none", "dropout", "input_gaussian_noise",
-                                           "latent_gaussian_noise"))},
+                         {"kind": _choice(REGULARIZER_KINDS)},
                          {"p": _typed(float, lambda v: 0.0 <= v < 1.0),
                           "sigma": _typed(float, lambda v: v >= 0.0)})
     kind = spec["kind"]

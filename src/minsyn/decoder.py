@@ -7,7 +7,10 @@ is the naive-Bayes log-odds readout.  Statistics are accumulated as raw
 moments so they can be blended across batches with a moving average.  The
 statistics objects are immutable, so the derived quantities (correlations,
 conditionals) and the readout built from them are computed once per object,
-on first use, and cached on it as read-only arrays.
+on first use, and cached on it as read-only arrays.  Each (n, m) table is
+built block by block of output rows, so the temporaries of one block stay
+in cache; every row depends only on its own statistics, so the result is
+the same bytes as one whole-array pass.
 """
 
 from __future__ import annotations
@@ -22,6 +25,39 @@ from .gaussian import gaussian_ci_posterior
 
 EPS = 1e-4
 STD_FLOOR = 1e-6
+
+# Working-set budget of one block of rows: 2 MiB, the per-core L2 cache of
+# the reference machine.  Arrays that outgrow it are processed block by block.
+BLOCK_BYTES = 2 * 1024 * 1024
+# float64 rows of m entries the readout keeps live per output row.
+_READOUT_ROW_FLOATS = 8
+
+
+def row_blocks(rows: int, row_bytes: int, min_rows: int = 1) -> list:
+    """Slices covering range(rows) in order: blocks of BLOCK_BYTES //
+    row_bytes rows, but never fewer than ``min_rows``; a shorter remainder
+    joins the last block.  No rows give one empty block."""
+    step = max(1, min_rows, BLOCK_BYTES // max(1, row_bytes))
+    starts = list(range(0, rows, step)) or [0]
+    if len(starts) > 1 and rows - starts[-1] < min_rows:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+
+
+def _stack_row_blocks(n: int, m: int, build) -> tuple:
+    """The arrays ``build(rows)`` returns for the outputs in ``rows``, run
+    over the readout's row blocks of an (n, m) table and stacked.  A single
+    block returns ``build``'s own arrays."""
+    blocks = row_blocks(n, _READOUT_ROW_FLOATS * m * 8)
+    first = build(blocks[0])
+    if len(blocks) == 1:
+        return first
+    stacked = tuple(np.empty((n,) + part.shape[1:]) for part in first)
+    for i, rows in enumerate(blocks):
+        parts = build(rows) if i else first
+        for out, part in zip(stacked, parts):
+            out[rows] = part
+    return stacked
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -73,11 +109,30 @@ class GaussianStats:
         var = np.clip(self.z_sq_mean - self.z_mean ** 2, STD_FLOOR ** 2, None)
         return _frozen(np.sqrt(var))
 
+    def _rho_rows(self, rows: slice) -> np.ndarray:
+        """Clamped correlations of the outputs in ``rows`` with every latent."""
+        cov = self.xz_mean[rows] - np.outer(self.x_mean[rows], self.z_mean)
+        r = cov / np.outer(self.x_std[rows], self.z_std)
+        return np.clip(r, -(1.0 - EPS), 1.0 - EPS)
+
     @cached_property
     def rho(self) -> np.ndarray:
-        cov = self.xz_mean - np.outer(self.x_mean, self.z_mean)
-        r = cov / np.outer(self.x_std, self.z_std)
-        return _frozen(np.clip(r, -(1.0 - EPS), 1.0 - EPS))
+        (r,) = _stack_row_blocks(self.n, self.m, lambda rows: (self._rho_rows(rows),))
+        return _frozen(r)
+
+    def _readout_rows(self, rows: slice) -> tuple:
+        """(weights, variance) of the outputs in ``rows``."""
+        r = self._rho_rows(rows)
+        r2 = r ** 2
+        one_minus_r2 = 1.0 - r2
+        # R_i = sum_j r2 / (1 - r2) and u = r / (1 - r2) / (1 + R_i), finished
+        # in place in the buffers of r2 and r.
+        one_plus_big_r = 1.0 + np.divide(r2, one_minus_r2, out=r2).sum(axis=1)
+        weights = np.divide(r, one_minus_r2, out=r)
+        weights /= one_plus_big_r[:, None]
+        weights *= np.outer(self.x_std[rows], 1.0 / self.z_std)
+        variance = self.x_std[rows] ** 2 / one_plus_big_r
+        return weights, variance
 
     @cached_property
     def readout(self) -> DecoderParams:
@@ -89,14 +144,8 @@ class GaussianStats:
         with u_ij the standardized posterior weights and variance
         x_std_i^2 / (1 + R_i).
         """
-        r = self.rho
-        r2 = r ** 2
-        one_minus_r2 = 1.0 - r2
-        one_plus_big_r = 1.0 + (r2 / one_minus_r2).sum(axis=1)
-        u = (r / one_minus_r2) / one_plus_big_r[:, None]
-        weights = u * np.outer(self.x_std, 1.0 / self.z_std)
+        weights, variance = _stack_row_blocks(self.n, self.m, self._readout_rows)
         bias = self.x_mean - weights @ self.z_mean
-        variance = self.x_std ** 2 / one_plus_big_r
         return DecoderParams(weights=_frozen(weights), bias=_frozen(bias),
                              variance=_frozen(variance))
 
@@ -141,17 +190,41 @@ class BinaryStats:
     def _supported(self) -> np.ndarray:
         return _frozen((self.x_mean >= EPS) & (self.x_mean <= 1.0 - EPS))
 
+    def _conditional_rows(self, rows: slice, given_x1: bool) -> np.ndarray:
+        """p(Z_j = 1 | X_i = 1) (or X_i = 0) for the outputs in ``rows``."""
+        if given_x1:
+            cond = self.xz_mean[rows] / self.px1[rows, None]
+        else:
+            cond = (self.z_mean[None, :] - self.xz_mean[rows]) / (1.0 - self.px1[rows])[:, None]
+        cond = np.where(self._supported[rows, None], cond, self.z_mean[None, :])
+        return np.clip(cond, EPS, 1.0 - EPS)
+
+    def _conditional_table(self, given_x1: bool) -> np.ndarray:
+        (table,) = _stack_row_blocks(
+            self.n, self.m, lambda rows: (self._conditional_rows(rows, given_x1),))
+        return _frozen(table)
+
     @cached_property
     def pz1_given_x1(self) -> np.ndarray:
-        cond = self.xz_mean / self.px1[:, None]
-        cond = np.where(self._supported[:, None], cond, self.z_mean[None, :])
-        return _frozen(np.clip(cond, EPS, 1.0 - EPS))
+        return self._conditional_table(True)
 
     @cached_property
     def pz1_given_x0(self) -> np.ndarray:
-        cond = (self.z_mean[None, :] - self.xz_mean) / (1.0 - self.px1)[:, None]
-        cond = np.where(self._supported[:, None], cond, self.z_mean[None, :])
-        return _frozen(np.clip(cond, EPS, 1.0 - EPS))
+        return self._conditional_table(False)
+
+    def _readout_rows(self, rows: slice) -> tuple:
+        """(weights, summed evidence of the latents being 0) of the outputs
+        in ``rows``."""
+        q1 = self._conditional_rows(rows, True)
+        q0 = self._conditional_rows(rows, False)
+        not_q1 = 1.0 - q1
+        not_q0 = 1.0 - q0
+        # ln(q1 (1 - q0)) - ln((1 - q1) q0) and ln((1 - q1) / (1 - q0)),
+        # finished in place in the buffers of q1 and q0.
+        weights = np.log(np.multiply(q1, not_q0, out=q1), out=q1)
+        weights -= np.log(np.multiply(not_q1, q0, out=q0), out=q0)
+        evidence = np.log(np.divide(not_q1, not_q0, out=not_q1), out=not_q1)
+        return weights, evidence.sum(axis=1)
 
     @cached_property
     def readout(self) -> DecoderParams:
@@ -165,12 +238,8 @@ class BinaryStats:
         latents really are conditionally independent given each output.
         """
         p1 = self.px1
-        q1 = self.pz1_given_x1
-        q0 = self.pz1_given_x0
-        not_q1 = 1.0 - q1
-        not_q0 = 1.0 - q0
-        weights = np.log(q1 * not_q0) - np.log(not_q1 * q0)
-        bias = np.log(p1 / (1.0 - p1)) + np.log(not_q1 / not_q0).sum(axis=1)
+        weights, evidence = _stack_row_blocks(self.n, self.m, self._readout_rows)
+        bias = np.log(p1 / (1.0 - p1)) + evidence
         return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
@@ -207,12 +276,17 @@ class DecoderParams:
         return np.asarray(z, dtype=float) @ self.weights.T + self.bias
 
 
-def gaussian_batch_stats(x_batch, z_batch) -> GaussianStats:
-    """Raw Gaussian moments of a batch; needs at least two samples."""
+def _batch_pair(x_batch, z_batch) -> tuple:
     x = np.asarray(x_batch, dtype=float)
     z = np.asarray(z_batch, dtype=float)
     if x.ndim != 2 or z.ndim != 2 or x.shape[0] != z.shape[0]:
         raise ValueError("x_batch and z_batch must be 2-D with equal batch size")
+    return x, z
+
+
+def gaussian_batch_stats(x_batch, z_batch) -> GaussianStats:
+    """Raw Gaussian moments of a batch; needs at least two samples."""
+    x, z = _batch_pair(x_batch, z_batch)
     b = x.shape[0]
     if b < 2:
         raise ValueError(f"batch size {b} < 2: statistics are undefined")
@@ -227,13 +301,22 @@ def gaussian_batch_stats(x_batch, z_batch) -> GaussianStats:
 
 def binary_batch_stats(x_batch, z_batch) -> BinaryStats:
     """Raw Bernoulli moments of a batch whose entries live in [0, 1]."""
-    x = np.asarray(x_batch, dtype=float)
-    z = np.asarray(z_batch, dtype=float)
-    if x.ndim != 2 or z.ndim != 2 or x.shape[0] != z.shape[0]:
-        raise ValueError("x_batch and z_batch must be 2-D with equal batch size")
+    x, z = _batch_pair(x_batch, z_batch)
     for name, arr in (("x_batch", x), ("z_batch", z)):
         if arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
             raise ValueError(f"{name} entries must lie in [0, 1] to be read as probabilities")
+    return _binary_moments(x, z)
+
+
+def clipped_binary_batch_stats(x_batch, z_batch) -> BinaryStats:
+    """Raw Bernoulli moments of a batch after clipping its entries into
+    [0, 1], the reading a training step takes when regularizer noise has
+    pushed latents out of range.  The clipped entries need no range check."""
+    x, z = _batch_pair(x_batch, z_batch)
+    return _binary_moments(np.clip(x, 0.0, 1.0), np.clip(z, 0.0, 1.0))
+
+
+def _binary_moments(x, z) -> BinaryStats:
     b = x.shape[0]
     return BinaryStats(
         x_mean=x.mean(axis=0),

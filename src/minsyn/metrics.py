@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AutoencoderModel, PcaModel, forward, loss
+from .decoder import row_blocks
+from .nn import AutoencoderModel, PcaModel, forward, sample_losses
 
 log = logging.getLogger(__name__)
 
@@ -62,13 +63,61 @@ def reconstruct(model, x) -> np.ndarray:
     raise TypeError(f"cannot reconstruct with {type(model).__name__}")
 
 
+# float64 rows of n entries that scoring keeps live per image: the input,
+# its reconstruction, the target and the loss terms.
+_SCORE_ROW_FLOATS = 4
+# OpenBLAS, the BLAS numpy ships with, runs a matrix product of at most
+# 100^3 multiply-adds on small-matrix kernels and a one-row product as a
+# matrix-vector product; both round some rows differently from the kernel a
+# large batch takes.  A scoring block keeps enough rows for every product of
+# the model to stay above that size, so each row comes out as in one
+# whole-batch pass.
+_SMALL_PRODUCT = 100 ** 3
+
+
+def _min_block_rows(model) -> int:
+    """Fewest rows that take every product of the model above _SMALL_PRODUCT."""
+    if isinstance(model, PcaModel):
+        k, n = model.components.shape
+        products = [n * k]
+    elif isinstance(model, AutoencoderModel):
+        products = [layer.fan_in * layer.fan_out for layer in model.encoder]
+        products.append(model.latent_dim * model.input_dim)
+    else:
+        raise TypeError(f"cannot reconstruct with {type(model).__name__}")
+    return max(_SMALL_PRODUCT // p + 1 for p in products)
+
+
+def _score_blocks(model, x: np.ndarray) -> list:
+    """The row blocks in which ``reconstruction_loss`` scores images x."""
+    return row_blocks(x.shape[0], _SCORE_ROW_FLOATS * x.shape[1] * 8,
+                      _min_block_rows(model))
+
+
+def reconstruction_loss(model, x, kind: str, target=None) -> float:
+    """Mean over the images of the feature-summed loss of reconstructing
+    ``x`` (N, n) against ``target`` (default ``x`` itself).
+
+    The images are reconstructed and scored a block of rows at a time, so
+    no temporary grows with N (past the smallest block that keeps the BLAS
+    on its large-matrix kernel); every image's loss depends on its own row
+    alone, so the result is bit for bit that of ``loss(target,
+    reconstruct(model, x), kind)``.
+    """
+    x = np.asarray(x, dtype=float)
+    target = x if target is None else np.asarray(target, dtype=float)
+    if x.ndim != 2 or target.shape != x.shape:
+        raise ValueError(f"need (N, n) images and a target of the same shape, "
+                         f"got {x.shape} and {target.shape}")
+    per_sample = np.empty(x.shape[0])
+    for rows in _score_blocks(model, x):
+        per_sample[rows] = sample_losses(target[rows], reconstruct(model, x[rows]), kind)
+    return float(per_sample.mean())
+
+
 def reconstruction_losses(model, train, test, loss_kind: str) -> tuple:
     """(train_loss, test_loss): per-sample feature-summed loss, split means."""
-    out = []
-    for split in (train, test):
-        split = np.asarray(split, dtype=float)
-        out.append(loss(split, reconstruct(model, split), loss_kind))
-    return tuple(out)
+    return tuple(reconstruction_loss(model, split, loss_kind) for split in (train, test))
 
 
 @dataclass(frozen=True)

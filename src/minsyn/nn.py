@@ -19,8 +19,8 @@ from .decoder import (
     DecoderParams,
     GaussianStats,
     MovingAverageState,
-    binary_batch_stats,
     binary_decoder_params,
+    clipped_binary_batch_stats,
     gaussian_batch_stats,
     gaussian_decoder_params,
     update_moving_average,
@@ -29,7 +29,11 @@ from .decoder import (
 log = logging.getLogger(__name__)
 
 ACTIVATIONS = ("identity", "sigmoid", "softplus")
-DECODER_KINDS = ("learned_sigmoid", "learned_linear", "minsyn_binary", "minsyn_gaussian")
+# The loss each decoder kind trains and is scored with: cross entropy for the
+# sigmoid-output decoders, squared error for the linear ones.
+DECODER_LOSS = {"learned_sigmoid": "bce", "learned_linear": "mse",
+                "minsyn_binary": "bce", "minsyn_gaussian": "mse"}
+DECODER_KINDS = tuple(DECODER_LOSS)
 MINSYN_KINDS = ("minsyn_binary", "minsyn_gaussian")
 LOSS_KINDS = ("bce", "mse")
 REGULARIZER_KINDS = ("none", "dropout", "input_gaussian_noise", "latent_gaussian_noise")
@@ -164,11 +168,9 @@ class AutoencoderModel:
             raise ValueError(f"decoder_kind must be one of {DECODER_KINDS}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-        expected_loss = {"learned_sigmoid": "bce", "minsyn_binary": "bce",
-                         "learned_linear": "mse", "minsyn_gaussian": "mse"}
-        if self.loss_kind != expected_loss[self.decoder_kind]:
+        if self.loss_kind != DECODER_LOSS[self.decoder_kind]:
             raise ValueError(
-                f"decoder {self.decoder_kind} pairs with {expected_loss[self.decoder_kind]} loss"
+                f"decoder {self.decoder_kind} pairs with {DECODER_LOSS[self.decoder_kind]} loss"
             )
         if self.decoder_kind in MINSYN_KINDS:
             if self.decoder is not None:
@@ -233,7 +235,6 @@ def build_autoencoder(input_dim: int, encoder_spec, decoder_kind: str,
     for units, activation in encoder_spec:
         layers.append(init_dense_layer(rng, fan_in, int(units), activation))
         fan_in = int(units)
-    loss_kind = "bce" if decoder_kind in ("learned_sigmoid", "minsyn_binary") else "mse"
     decoder = None
     ma = None
     if decoder_kind in MINSYN_KINDS:
@@ -242,25 +243,44 @@ def build_autoencoder(input_dim: int, encoder_spec, decoder_kind: str,
         activation = "sigmoid" if decoder_kind == "learned_sigmoid" else "identity"
         decoder = init_dense_layer(rng, fan_in, input_dim, activation)
     return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind,
-                            decoder=decoder, ma_state=ma, loss_kind=loss_kind)
+                            decoder=decoder, ma_state=ma,
+                            loss_kind=DECODER_LOSS[decoder_kind])
 
 
-def loss(x: np.ndarray, xbar: np.ndarray, kind: str) -> float:
-    """Reconstruction loss: sum over features, mean over the batch.
+def _check_bce_operand(name: str, arr: np.ndarray) -> None:
+    if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
+        raise ValueError(f"bce requires {name} in [0, 1]")
+
+
+def sample_losses(x: np.ndarray, xbar: np.ndarray, kind: str) -> np.ndarray:
+    """Per-sample reconstruction loss, summed over the features: shape (B,).
 
     ``bce`` expects both arguments in [0, 1] and clamps the reconstruction to
-    [1e-7, 1 - 1e-7]; ``mse`` is the plain squared error.
+    [1e-7, 1 - 1e-7]; ``mse`` is the plain squared error.  A sample's loss
+    depends on its own row alone.
     """
     x = np.asarray(x, dtype=float)
     xb = np.asarray(xbar, dtype=float)
     if x.shape != xb.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {xb.shape}")
-    if kind == "mse":
-        return float(((x - xb) ** 2).sum(axis=-1).mean())
     if kind == "bce":
-        for name, arr in (("x", x), ("xbar", xb)):
-            if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
-                raise ValueError(f"bce requires {name} in [0, 1]")
+        _check_bce_operand("x", x)
+        _check_bce_operand("xbar", xb)
+    return _sample_losses(x, xb, kind)
+
+
+def loss(x: np.ndarray, xbar: np.ndarray, kind: str) -> float:
+    """Reconstruction loss: sum over features, mean over the batch, i.e. the
+    mean of ``sample_losses``."""
+    return float(sample_losses(x, xbar, kind).mean())
+
+
+def _sample_losses(x: np.ndarray, xb: np.ndarray, kind: str) -> np.ndarray:
+    """``sample_losses`` without the range checks, for float arrays of one
+    shape."""
+    if kind == "mse":
+        return ((x - xb) ** 2).sum(axis=-1)
+    if kind == "bce":
         xc = np.clip(xb, BCE_CLAMP, 1.0 - BCE_CLAMP)
         # -(x * log(xc) + (1 - x) * log1p(-xc)) in its own operation order, so
         # the floats do not change, but in place to skip the temporaries.
@@ -271,7 +291,7 @@ def loss(x: np.ndarray, xbar: np.ndarray, kind: str) -> float:
         xc *= 1.0 - x
         terms += xc
         np.negative(terms, out=terms)
-        return float(terms.sum(axis=-1).mean())
+        return terms.sum(axis=-1)
     raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
 
 
@@ -318,10 +338,7 @@ def _decode(model, x_target, z, mode, fixed_params=None):
             params = fixed_params
         elif mode == "train":
             if kind == "minsyn_binary":
-                # Regularizer noise can push the latents out of [0, 1]; the
-                # Bernoulli reading of the statistics squashes them back.
-                stats = binary_batch_stats(np.clip(x_target, 0.0, 1.0),
-                                           np.clip(z, 0.0, 1.0))
+                stats = clipped_binary_batch_stats(x_target, z)
                 params = binary_decoder_params(stats)
             else:
                 stats = gaussian_batch_stats(x_target, z)
@@ -401,8 +418,12 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     encoder still receives gradient through z via the affine readout.
     """
     x = np.asarray(x, dtype=float)
+    if model.loss_kind == "bce":
+        _check_bce_operand("x", x)
     cache = _forward_cached(model, x, "train", regularizer, rng, fixed_decoder_params)
-    loss_value = loss(x, cache.xbar, model.loss_kind)
+    # Only x is checked: the reconstruction of a bce model is a sigmoid
+    # output, in [0, 1] by construction.
+    loss_value = float(_sample_losses(x, cache.xbar, model.loss_kind).mean())
     grads = {}
 
     d_xbar = _loss_grad_wrt_xbar(x, cache.xbar, model.loss_kind)
@@ -503,7 +524,7 @@ class TrainConfig:
 
     @property
     def loss_kind(self) -> str:
-        return "bce" if self.decoder_kind in ("learned_sigmoid", "minsyn_binary") else "mse"
+        return DECODER_LOSS[self.decoder_kind]
 
 
 def train_autoencoder(config: TrainConfig, data) -> tuple:

@@ -265,3 +265,35 @@ def adam_textbook(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
     return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def binary_readout_whole(x_mean, z_mean, xz_mean, eps):
+    """Naive-Bayes readout in whole-array passes: (pz1_given_x1,
+    pz1_given_x0, weights, bias), outputs with E[x] outside [eps, 1 - eps]
+    falling back to the latent marginals."""
+    px1 = np.clip(x_mean, eps, 1.0 - eps)
+    supported = ((x_mean >= eps) & (x_mean <= 1.0 - eps))[:, None]
+    q1 = np.where(supported, xz_mean / px1[:, None], z_mean[None, :])
+    q0 = np.where(supported, (z_mean[None, :] - xz_mean) / (1.0 - px1)[:, None],
+                  z_mean[None, :])
+    q1 = np.clip(q1, eps, 1.0 - eps)
+    q0 = np.clip(q0, eps, 1.0 - eps)
+    weights = np.log(q1 * (1.0 - q0)) - np.log((1.0 - q1) * q0)
+    bias = np.log(px1 / (1.0 - px1)) + np.log((1.0 - q1) / (1.0 - q0)).sum(axis=1)
+    return q1, q0, weights, bias
+
+
+def gaussian_readout_whole(x_mean, z_mean, x_sq_mean, z_sq_mean, xz_mean, eps, std_floor):
+    """Conditionally-independent posterior readout in whole-array passes:
+    (rho, weights, bias, variance)."""
+    x_std = np.sqrt(np.clip(x_sq_mean - x_mean ** 2, std_floor ** 2, None))
+    z_std = np.sqrt(np.clip(z_sq_mean - z_mean ** 2, std_floor ** 2, None))
+    rho = (xz_mean - np.outer(x_mean, z_mean)) / np.outer(x_std, z_std)
+    rho = np.clip(rho, -(1.0 - eps), 1.0 - eps)
+    r2 = rho ** 2
+    one_plus_big_r = 1.0 + (r2 / (1.0 - r2)).sum(axis=1)
+    u = (rho / (1.0 - r2)) / one_plus_big_r[:, None]
+    weights = u * np.outer(x_std, 1.0 / z_std)
+    bias = x_mean - weights @ z_mean
+    variance = x_std ** 2 / one_plus_big_r
+    return rho, weights, bias, variance

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestConfigSchema:
         doc = cfg_dict()
         doc["training"]["regularizer"] = {"kind": "dropout"}
         with pytest.raises(ConfigError, match="dropout needs"):
+            parse_config(doc)
+
+    def test_unknown_regularizer_kind_lists_the_kinds(self):
+        doc = cfg_dict()
+        doc["training"]["regularizer"] = {"kind": "magic"}
+        with pytest.raises(ConfigError, match="latent_gaussian_noise"):
             parse_config(doc)
 
     def test_pca_has_no_training(self):
@@ -152,6 +159,22 @@ class TestModelRestore:
         _, xbar_b = forward(restored, data, mode="eval")
         assert np.array_equal(xbar_a, xbar_b)
         assert restored.ma_state.step_count == model.ma_state.step_count
+
+    @pytest.mark.parametrize("decoder_kind", ["minsyn_binary", "minsyn_gaussian"])
+    def test_statistics_fields_round_trip(self, decoder_kind):
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=1, lr=0.01,
+                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
+        data = (np.random.default_rng(4).random((12, 5)) > 0.5).astype(float)
+        model, history = train_autoencoder(cfg, data)
+        arrays, meta = model_arrays(model, history)
+        names = [f.name for f in dataclasses.fields(model.ma_state.stats)]
+        assert [k for k in arrays if k.startswith("ma.")] == [f"ma.{n}" for n in names]
+        restored = restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
+        assert type(restored.ma_state.stats) is type(model.ma_state.stats)
+        for n in names:
+            assert np.array_equal(getattr(restored.ma_state.stats, n),
+                                  getattr(model.ma_state.stats, n))
+        assert restored.loss_kind == model.loss_kind == cfg.loss_kind
 
     def test_learned_decoder_round_trip(self):
         cfg = TrainConfig(epochs=3, batch_size=4, seed=2, lr=0.01,

@@ -5,18 +5,26 @@ import pytest
 
 from minsyn.decoder import (
     EPS,
+    STD_FLOOR,
     BinaryStats,
     GaussianStats,
     MovingAverageState,
     binary_batch_stats,
     binary_decoder_params,
+    clipped_binary_batch_stats,
     gaussian_batch_stats,
     gaussian_decoder_params,
+    row_blocks,
     update_moving_average,
 )
 from minsyn.nn import TrainConfig, sigmoid, train_autoencoder
 
-from _oracles import bayes_posterior_binary, two_pass_correlations
+from _oracles import (
+    bayes_posterior_binary,
+    binary_readout_whole,
+    gaussian_readout_whole,
+    two_pass_correlations,
+)
 
 
 class TestGaussianBatchStats:
@@ -70,6 +78,14 @@ class TestBinaryBatchStats:
         assert stats.px1[0] == pytest.approx(0.5)
         assert stats.pz1_given_x1[0, 0] == pytest.approx(0.5)
         assert stats.pz1_given_x0[0, 0] == pytest.approx(EPS)
+
+    def test_clipped_variant_reads_the_clipped_batch(self):
+        rng = np.random.default_rng(7)
+        x, z = rng.random((6, 4)), rng.normal(0.5, 0.6, size=(6, 3))
+        got = clipped_binary_batch_stats(x, z)
+        want = binary_batch_stats(np.clip(x, 0.0, 1.0), np.clip(z, 0.0, 1.0))
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -252,6 +268,64 @@ class TestReadoutCache:
         blended = type(s1)(**{f.name: 0.5 * getattr(s1, f.name) + 0.5 * getattr(s2, f.name)
                               for f in dataclasses.fields(s1)})
         assert _same_params(new, READOUTS[kind](blended))
+
+
+def _wide_batch(rng, n=1000, m=128, b=200):
+    """Binary outputs with unsupported (constant) columns and columns that
+    copy a latent exactly, against latents in [0, 1]."""
+    z = rng.random((b, m))
+    z[:, :4] = (z[:, :4] < 0.5)
+    x = (rng.random((b, n)) < rng.random(n)).astype(float)
+    x[:, :10] = 0.0
+    x[:, 10:20] = 1.0
+    x[:, 20:24] = z[:, :4]
+    return x, z
+
+
+class TestRowBlockedReadout:
+    """n = 1000 outputs of m = 128 latents span several row blocks with a
+    ragged last one; the blocked tables must equal one whole-array pass."""
+
+    def test_spans_several_ragged_blocks(self):
+        blocks = row_blocks(1000, 8 * 128 * 8)
+        assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+
+    def test_binary_equals_whole_array_oracle(self):
+        x, z = _wide_batch(np.random.default_rng(30))
+        stats = binary_batch_stats(x, z)
+        assert not np.all((stats.x_mean >= EPS) & (stats.x_mean <= 1.0 - EPS))
+        q1, q0, weights, bias = binary_readout_whole(
+            stats.x_mean, stats.z_mean, stats.xz_mean, EPS)
+        assert np.any(q1 == 1.0 - EPS) and np.any(q0 == EPS)
+        params = binary_decoder_params(stats)
+        assert params.weights.tobytes() == weights.tobytes()
+        assert params.bias.tobytes() == bias.tobytes()
+        assert stats.pz1_given_x1.tobytes() == q1.tobytes()
+        assert stats.pz1_given_x0.tobytes() == q0.tobytes()
+
+    def test_gaussian_equals_whole_array_oracle(self):
+        x, z = _wide_batch(np.random.default_rng(31))
+        stats = gaussian_batch_stats(x, z)
+        rho, weights, bias, variance = gaussian_readout_whole(
+            stats.x_mean, stats.z_mean, stats.x_sq_mean, stats.z_sq_mean, stats.xz_mean,
+            EPS, STD_FLOOR)
+        assert np.any(np.abs(rho) == 1.0 - EPS)
+        params = gaussian_decoder_params(stats)
+        assert params.weights.tobytes() == weights.tobytes()
+        assert params.bias.tobytes() == bias.tobytes()
+        assert params.variance.tobytes() == variance.tobytes()
+        assert stats.rho.tobytes() == rho.tobytes()
+
+    def test_row_blocks_cover_in_order(self):
+        for rows, row_bytes, min_rows in ((0, 8, 1), (1, 8, 1), (10, 2 ** 21, 1),
+                                          (1000, 8192, 1), (2000, 25088, 62),
+                                          (129, 75264, 48), (7, 0, 1)):
+            blocks = row_blocks(rows, row_bytes, min_rows)
+            assert blocks[0].start == 0 and blocks[-1].stop == rows
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            if len(blocks) > 1:
+                assert min(b.stop - b.start for b in blocks) >= min_rows
+        assert [b.stop for b in row_blocks(2000, 25088, 62)][-2:] == [1909, 2000]
 
 
 class TestMovingAverage:

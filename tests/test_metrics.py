@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from minsyn.metrics import acc_score, build_report, reconstruction_losses
-from minsyn.nn import PcaModel, TrainConfig, pca_fit, train_autoencoder
+from minsyn import metrics
+from minsyn.metrics import (acc_score, build_report, reconstruct, reconstruction_loss,
+                            reconstruction_losses)
+from minsyn.nn import PcaModel, TrainConfig, loss, pca_fit, train_autoencoder
+from minsyn.noise import apply_noise
+from minsyn.words import (build_word_dataset, builtin_glyphs, bundled_letter_grid,
+                          bundled_word_list, synthetic_digits)
 
 from _oracles import pca_reconstruction_mse
 
@@ -105,6 +112,107 @@ class TestReconstructionLosses:
         model, _ = train_autoencoder(cfg, np.zeros((4, 3)))
         with pytest.raises(ValueError, match="train"):
             reconstruction_losses(model, np.zeros((4, 3)), np.zeros((4, 3)), "bce")
+
+
+DIGIT_PIXELS = 784
+
+
+@pytest.fixture(scope="module")
+def digit_models():
+    """One small model of each reconstructing kind on 784-pixel digits."""
+    train, _ = synthetic_digits(100, seed=3)
+    models = {"pca": PcaModel(*pca_fit(train, 16))}
+    for kind in ("minsyn_binary", "minsyn_gaussian", "learned_sigmoid"):
+        cfg = TrainConfig(epochs=2, batch_size=50, seed=0, lr=0.003,
+                          decoder_kind=kind, encoder_spec=((32, "sigmoid"),))
+        models[kind], _ = train_autoencoder(cfg, train)
+    return models
+
+
+def _score_blocks(model, n_images):
+    return metrics._score_blocks(model, np.empty((n_images, DIGIT_PIXELS)))
+
+
+def _assert_blockwise_reconstruction(model, x):
+    """Each scoring block reconstructs to the bytes of its rows in one
+    whole-batch pass."""
+    whole = reconstruct(model, x)
+    for rows in metrics._score_blocks(model, x):
+        assert reconstruct(model, x[rows]).tobytes() == whole[rows].tobytes(), rows
+
+
+class TestReconstructionLoss:
+    """Blocked scoring must give the whole-batch loss bit for bit."""
+
+    CASES = [("minsyn_binary", "bce"), ("minsyn_binary", "mse"),
+             ("learned_sigmoid", "bce"), ("learned_sigmoid", "mse"),
+             ("minsyn_gaussian", "mse"), ("pca", "mse")]
+
+    @pytest.mark.parametrize("kind,loss_kind", CASES)
+    @pytest.mark.parametrize("shape", ["below_one_block", "exact_multiple",
+                                       "one_row_over", "ragged_block"])
+    def test_equals_whole_batch(self, digit_models, kind, loss_kind, shape):
+        model = digit_models[kind]
+        step = _score_blocks(model, 10 ** 6)[0].stop
+        floor = metrics._min_block_rows(model)
+        n_images = {"below_one_block": step // 2, "exact_multiple": 2 * step,
+                    "one_row_over": 2 * step + 1, "ragged_block": 2 * step + floor}[shape]
+        blocks = _score_blocks(model, n_images)
+        assert len(blocks) == {"below_one_block": 1, "exact_multiple": 2,
+                               "one_row_over": 2, "ragged_block": 3}[shape]
+        x, _ = synthetic_digits(n_images, seed=4)
+        _assert_blockwise_reconstruction(model, x)
+        assert reconstruction_loss(model, x, loss_kind) == loss(
+            x, reconstruct(model, x), loss_kind)
+        corrupted = apply_noise(x, "bottom_half", seed=5)
+        assert reconstruction_loss(model, corrupted, loss_kind, target=x) == loss(
+            x, reconstruct(model, corrupted), loss_kind)
+
+    @pytest.mark.parametrize("kind,loss_kind", [("learned_sigmoid", "bce"),
+                                                ("learned_sigmoid", "mse"), ("pca", "mse")])
+    def test_word_splits_equal_whole_batch(self, kind, loss_kind):
+        # 2352-pixel rows into 9 latents: the budget alone would give blocks
+        # of 27 images, whose products BLAS runs on its small-matrix kernels.
+        grid = bundled_letter_grid()
+        letters = sorted({ch for g in grid for ch in g})
+        words = build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
+        if kind == "pca":
+            model = PcaModel(*pca_fit(words.train_images, 9))
+        else:
+            cfg = TrainConfig(epochs=20, batch_size=16, seed=0, lr=0.001,
+                              decoder_kind=kind, encoder_spec=((9, "softplus"),))
+            model, _ = train_autoencoder(cfg, words.train_images)
+        for split in (words.train_images, words.test_images):
+            assert len(metrics._score_blocks(model, split)) > 1
+            _assert_blockwise_reconstruction(model, split)
+            assert reconstruction_loss(model, split, loss_kind) == loss(
+                split, reconstruct(model, split), loss_kind)
+
+    def test_no_temporary_grows_with_the_batch(self, digit_models):
+        model = digit_models["minsyn_binary"]
+        x, _ = synthetic_digits(2000, seed=6)
+        full_array = x.nbytes
+        reconstruction_loss(model, x[:200], "bce")  # build the cached readout
+        tracemalloc.start()
+        try:
+            reconstruction_loss(model, x, "bce")
+            _, blocked_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss(x, reconstruct(model, x), "bce")
+            _, whole_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert whole_peak >= full_array  # the measurement sees numpy's arrays
+        assert blocked_peak < full_array
+
+    def test_range_and_shape_checks_stay(self, digit_models):
+        x, _ = synthetic_digits(10, seed=7)
+        with pytest.raises(ValueError, match="bce requires x"):
+            reconstruction_loss(digit_models["learned_sigmoid"], x, "bce", target=x + 1.0)
+        with pytest.raises(ValueError, match="bce requires xbar"):
+            reconstruction_loss(digit_models["pca"], x * 50.0, "bce", target=x)
+        with pytest.raises(ValueError, match="same shape"):
+            reconstruction_loss(digit_models["pca"], x, "mse", target=x[:5])
 
 
 class TestReport:

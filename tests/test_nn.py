@@ -7,6 +7,7 @@ from minsyn.decoder import binary_decoder_params, gaussian_decoder_params
 from minsyn.nn import (
     BCE_CLAMP,
     DECODER_KINDS,
+    DECODER_LOSS,
     MINSYN_KINDS,
     AdamState,
     AutoencoderModel,
@@ -22,6 +23,7 @@ from minsyn.nn import (
     gradients,
     loss,
     pca_fit,
+    sample_losses,
     sigmoid,
     softplus,
     train_autoencoder,
@@ -143,6 +145,23 @@ class TestLoss:
         with pytest.raises(ValueError, match="bce"):
             loss(np.array([[1.5]]), np.array([[0.5]]), "bce")
 
+    def test_bce_reconstruction_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="bce requires xbar"):
+            loss(np.array([[0.5]]), np.array([[1.5]]), "bce")
+        with pytest.raises(ValueError, match="bce requires xbar"):
+            sample_losses(np.array([[0.5]]), np.array([[-0.5]]), "bce")
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_loss_is_the_mean_of_row_independent_sample_losses(self, kind):
+        rng = np.random.default_rng(5)
+        x, xbar = rng.random((9, 40)), rng.random((9, 40))
+        per_sample = sample_losses(x, xbar, kind)
+        assert per_sample.shape == (9,)
+        assert loss(x, xbar, kind) == float(per_sample.mean())
+        rows = np.concatenate([sample_losses(x[i:i + 4], xbar[i:i + 4], kind)
+                               for i in range(0, 9, 4)])
+        assert rows.tobytes() == per_sample.tobytes()
+
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -169,6 +188,13 @@ class TestGradients:
         z, xbar = forward(model, x, mode="train")
         assert grads["decoder.bias"][0] == pytest.approx(xbar[0, 0] - x[0, 0], abs=1e-12)
 
+    @pytest.mark.parametrize("decoder_kind", ["learned_sigmoid", "minsyn_binary"])
+    def test_bce_batch_outside_unit_interval_rejected(self, decoder_kind):
+        x = np.random.default_rng(12).random((6, 5))
+        x[2, 3] = 1.5
+        with pytest.raises(ValueError, match="bce requires x"):
+            gradients(small_model(decoder_kind), x)
+
     @pytest.mark.parametrize("decoder_kind", DECODER_KINDS)
     @pytest.mark.parametrize("reg", REGULARIZERS, ids=lambda r: f"{r.kind}-p{r.p}-s{r.sigma}")
     def test_matches_finite_differences(self, decoder_kind, reg):
@@ -191,6 +217,22 @@ class TestGradients:
             ref = fd[name]
             denom = np.maximum(np.maximum(np.abs(ref), np.abs(g)), 1e-6)
             assert np.max(np.abs(ref - g) / denom) <= 1e-4, name
+
+
+class TestDecoderLoss:
+    @pytest.mark.parametrize("decoder_kind", DECODER_KINDS)
+    def test_one_table_pairs_each_decoder_with_its_loss(self, decoder_kind):
+        cfg = TrainConfig(epochs=0, batch_size=2, seed=0, lr=0.0,
+                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
+        assert cfg.loss_kind == DECODER_LOSS[decoder_kind]
+        assert small_model(decoder_kind).loss_kind == DECODER_LOSS[decoder_kind]
+        assert DECODER_LOSS[decoder_kind] == (
+            "bce" if decoder_kind in ("learned_sigmoid", "minsyn_binary") else "mse")
+
+    def test_mismatched_loss_rejected(self):
+        model = small_model("minsyn_gaussian")
+        with pytest.raises(ValueError, match="pairs with mse"):
+            AutoencoderModel(model.encoder, "minsyn_gaussian", loss_kind="bce")
 
 
 class TestAdam:
