@@ -15,8 +15,6 @@ needed; point the same flow at real handwritten-digit IDX files via
 Run:  python3 demos/digits_noise_robustness.py   (a few minutes)
 """
 
-import numpy as np
-
 from minsyn.metrics import reconstruction_loss
 from minsyn.nn import TrainConfig, train_autoencoder
 from minsyn.noise import NOISE_KINDS, apply_noise

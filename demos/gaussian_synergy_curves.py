@@ -13,13 +13,10 @@ Run:  python3 demos/gaussian_synergy_curves.py
 import numpy as np
 
 from minsyn import (
-    GaussianSystem,
     feasible_sigma12_range,
-    gaussian_ci_synergy,
-    gaussian_mutual_information,
     gk_minimizing_covariance,
     gk_synergy,
-    gk_union_information,
+    pair_curve,
 )
 from minsyn.cli import main as minsyn_cli
 
@@ -32,11 +29,10 @@ def sweep():
     print(f"feasible Sigma_12 interval: [{interval.lo:.5f}, {interval.hi:.5f}]\n")
 
     print(f"{'Sigma_12':>9} {'I(Z;X)':>8} {'union':>8} {'gap':>8} {'ci':>8}")
-    for s12 in np.linspace(interval.lo + 0.02, interval.hi - 0.02, 13):
-        sys_ = GaussianSystem.pair(RHO1, RHO2, s12)
-        print(f"{s12:9.3f} {gaussian_mutual_information(sys_):8.4f} "
-              f"{gk_union_information(sys_.rho):8.4f} {gk_synergy(sys_):8.4f} "
-              f"{gaussian_ci_synergy(sys_):8.4f}")
+    grid = np.linspace(interval.lo + 0.02, interval.hi - 0.02, 13)
+    curve = pair_curve(RHO1, RHO2, grid)
+    for s12, mi, union, gap, ci in zip(grid, *curve.values()):
+        print(f"{s12:9.3f} {mi:8.4f} {union:8.4f} {gap:8.4f} {ci:8.4f}")
 
     best = gk_minimizing_covariance(np.array([RHO1, RHO2]))
     print(f"\nunion gap vanishes at Sigma_12 = rho1/rho2 = {best.sigma_z[0, 1]:.5f} "

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Print a digest of every reference model trained at a cut epoch budget.
+"""Print a digest of the synergy measures and of every reference model trained
+at a cut epoch budget.
 
 Each config under configs/ is copied with the given epoch budget and seed
 and with its paths inside --out-dir, then trained through `minsyn train`.
 The script prints, one fact per line:
 
+- the SHA-256 of `synergy_curve.csv` and `synergy_curve.svg` written by
+  `minsyn synergy-curve` for the paper pair (0.5, 0.75) and five pairs drawn
+  from --seed, in nats and in bits;
+- MI, WMS, GK and CI synergy, and GK synergy at the GK-minimizing
+  covariance, of 50 Gaussian systems of 3 to 7 variables drawn from --seed;
 - the SHA-256 of every checkpoint array and of history.csv;
 - for MinSyn models, the SHA-256 of the moving-average readout's arrays;
 - for word models, the report losses (train and test, mse) and acc;
@@ -29,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from minsyn import cli
+from minsyn import cli, gaussian
 from minsyn.checkpoint import load_checkpoint, restore_model
 from minsyn.config import load_config
 from minsyn.idx import images_tensor, read_idx_file, write_idx_file
@@ -41,6 +47,8 @@ from minsyn.words import synthetic_digits
 ROOT = Path(__file__).resolve().parents[1]
 EVAL_IMAGES = 2000
 EVAL_IMAGE_SEED = 12
+SEEDED_PAIRS = 5
+GAUSSIAN_SYSTEMS = 50
 
 
 def sha(data: bytes) -> str:
@@ -102,6 +110,37 @@ def digest(name: str, config_path: Path, eval_images: Path):
             yield f"{name} eval {loss_kind} {kind} {value!r}"
 
 
+def random_correlation(rng, size: int) -> np.ndarray:
+    a = rng.standard_normal((size, size + 2))
+    c = a @ a.T
+    d = 1.0 / np.sqrt(np.diag(c))
+    c = c * d[:, None] * d[None, :]
+    np.fill_diagonal(c, 1.0)
+    return (c + c.T) / 2.0
+
+
+def synergy_digest(out_dir: Path, seed: int):
+    rng = np.random.default_rng(seed)
+    pairs = [(0.5, 0.75)] + [tuple(np.round(rng.uniform(-0.9, 0.9, size=2), 3).tolist())
+                             for _ in range(SEEDED_PAIRS)]
+    for rho1, rho2 in pairs:
+        for units in ("nats", "bits"):
+            curve_dir = out_dir / "curves" / f"{rho1}_{rho2}_{units}"
+            run(["synergy-curve", "--rho1", rho1, "--rho2", rho2, "--units", units,
+                 "--out-dir", curve_dir])
+            yield (f"synergy-curve {rho1} {rho2} {units} "
+                   f"csv {sha((curve_dir / 'synergy_curve.csv').read_bytes())} "
+                   f"svg {sha((curve_dir / 'synergy_curve.svg').read_bytes())}")
+    for i in range(GAUSSIAN_SYSTEMS):
+        c = random_correlation(rng, int(rng.integers(3, 8)))
+        rho, sigma = c[-1, :-1].copy(), c[:-1, :-1].copy()
+        s = gaussian.GaussianSystem(rho, sigma)
+        at_min = gaussian.gk_synergy(gaussian.gk_minimizing_covariance(rho))
+        yield (f"gaussian system {i} mi {gaussian.gaussian_mutual_information(s)!r} "
+               f"wms {gaussian.wms_synergy(s)!r} gk {gaussian.gk_synergy(s)!r} "
+               f"ci {gaussian.gaussian_ci_synergy(s)!r} gk_at_minimizer {at_min!r}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out-dir", required=True, type=Path)
@@ -111,6 +150,8 @@ def main() -> None:
     args = parser.parse_args()
     out_dir = args.out_dir.resolve()
     epochs = {"words": args.word_epochs, "synthetic_digits": args.digit_epochs}
+    for line in synergy_digest(out_dir, args.seed):
+        print(line, flush=True)
     run(["dataset-build", "--out-dir", out_dir / "data", "--glyphs", "builtin"])
     images, _ = synthetic_digits(EVAL_IMAGES, seed=EVAL_IMAGE_SEED)
     eval_images = out_dir / "eval_images.idx"

@@ -14,6 +14,7 @@ from .gaussian import (
     gk_minimizing_covariance,
     gk_synergy,
     gk_union_information,
+    pair_curve,
     wms_synergy,
 )
 from .discrete import (

@@ -217,30 +217,24 @@ def cmd_synergy_curve(args) -> int:
         if lo < zero < hi:
             grid[np.argmin(np.abs(grid - zero))] = zero
     scale = 1.0 / np.log(2.0) if args.units == "bits" else 1.0
-    rows = []
-    for s12 in grid:
-        sys_ = gaussian.GaussianSystem.pair(rho1, rho2, float(s12))
-        rows.append((float(s12),
-                     scale * gaussian.gaussian_mutual_information(sys_),
-                     scale * gaussian.gk_union_information(sys_.rho),
-                     scale * gaussian.gk_synergy(sys_),
-                     scale * gaussian.gaussian_ci_synergy(sys_)))
-    header = ["sigma12", "mutual_information", "union_information",
-              "gk_synergy", "ci_synergy"]
+    series = {name: (scale * column).tolist()
+              for name, column in gaussian.pair_curve(rho1, rho2, grid).items()}
+    header = ["sigma12", *series]
+    sigma12 = grid.tolist()
+    rows = list(zip(sigma12, *series.values()))
     csv_lines = [",".join(header)]
     for row in rows:
         csv_lines.append(",".join(f"{v:.12g}" for v in row))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "synergy_curve.csv").write_text("\n".join(csv_lines) + "\n")
-    series = {name: [r[i + 1] for r in rows] for i, name in enumerate(header[1:])}
-    svg = line_plot_svg([r[0] for r in rows], series,
+    svg = line_plot_svg(sigma12, series,
                         title=f"rho1={rho1:g}, rho2={rho2:g}",
                         xlabel="sigma12", ylabel=f"information ({args.units})")
     (out_dir / "synergy_curve.svg").write_text(svg)
-    gk = np.array([r[3] for r in rows])
+    gk = np.array(series["gk_synergy"])
     print(f"synergy curve over [{lo:.5f}, {hi:.5f}] written to {out_dir}; "
-          f"union-gap minimum {gk.min():.3g} at sigma12={rows[int(np.argmin(gk))][0]:.5f}")
+          f"union-gap minimum {gk.min():.3g} at sigma12={sigma12[int(np.argmin(gk))]:.5f}")
     return EXIT_OK
 
 

@@ -21,8 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import gaussian_ci_posterior
-
 EPS = 1e-4
 STD_FLOOR = 1e-6
 

@@ -9,6 +9,7 @@ Sigma_{jk} = <Z_j Z_k>.  All information quantities are returned in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,73 @@ class Interval:
         return self.hi - self.lo
 
 
+def _joint_stack(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(k, m+1, m+1) joint correlation matrices of k systems."""
+    k, m = rho.shape
+    j = np.empty((k, m + 1, m + 1))
+    j[:, :m, :m] = sigma
+    j[:, :m, m] = rho
+    j[:, m, :m] = rho
+    j[:, m, m] = 1.0
+    return j
+
+
+def _singular(eig_min: float) -> ConditioningError:
+    return ConditioningError(
+        f"sigma_z is singular (smallest eigenvalue {eig_min:.3e}); "
+        "mutual information is not defined by the closed form"
+    )
+
+
+def _check_stack(rho: np.ndarray, sigma: np.ndarray, singular_is_error: bool) -> np.ndarray:
+    """Validate k systems at once and return the smallest eigenvalue of each
+    latent matrix.
+
+    rho is (k, m) with rows already accepted by _as_rho_vector; sigma is
+    (k, m, m).  Raises the error that validating the systems one at a time
+    would raise: that of the first system failing any check, for the first
+    check it fails.  With singular_is_error a latent matrix too singular to
+    invert fails last, with ConditioningError.
+    """
+    m = rho.shape[1]
+    finite = np.isfinite(sigma).all(axis=(1, 2))
+    if not finite.all():
+        # LAPACK must not see non-finite entries; those systems fail first.
+        sigma = np.where(finite[:, None, None], sigma, np.eye(m))
+    asymmetric = np.abs(sigma - sigma.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12
+    off_diagonal = np.abs(np.diagonal(sigma, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-12
+    eig_min = np.linalg.eigvalsh(sigma).min(axis=1)
+    joint_min = np.linalg.eigvalsh(_joint_stack(rho, sigma)).min(axis=1)
+    checks = [
+        (~finite, lambda i: ValueError("sigma_z contains non-finite entries")),
+        (asymmetric, lambda i: ValueError("sigma_z must be symmetric")),
+        (off_diagonal, lambda i: ValueError("sigma_z must have a unit diagonal")),
+        (eig_min < -PSD_TOL, lambda i: ValueError("sigma_z is not positive semidefinite")),
+        (joint_min < -PSD_TOL, lambda i: ValueError(
+            "joint covariance [[sigma_z, rho], [rho^T, 1]] is not positive "
+            "semidefinite: the requested correlations are not realizable")),
+    ]
+    if singular_is_error:
+        checks.append((eig_min < _SINGULAR_EIG, lambda i: _singular(eig_min[i])))
+    failures = [(int(np.argmax(bad)), order)
+                for order, (bad, _) in enumerate(checks) if bad.any()]
+    if failures:
+        row, order = min(failures)
+        raise checks[order][1](row)
+    return eig_min
+
+
+def _solve_stack(rho: np.ndarray, sigma: np.ndarray) -> tuple:
+    """beta = Sigma_z^{-1} rho (k, m) and q = rho^T beta (k floats) of k
+    systems that passed _check_stack.
+
+    One stacked solve gives each system the bits of its own solve; the dot
+    products stay one per system, since a stacked product rounds differently.
+    """
+    beta = np.linalg.solve(sigma, rho[..., None])[..., 0]
+    return beta, [float(r @ b) for r, b in zip(rho, beta)]
+
+
 @dataclass(frozen=True)
 class GaussianSystem:
     """Standardized Gaussian system: target correlations and latent covariance.
@@ -76,6 +144,10 @@ class GaussianSystem:
         semidefinite.  The full joint matrix [[sigma_z, rho], [rho^T, 1]]
         must also be positive semidefinite, otherwise no joint Gaussian
         with these marginal statistics exists.
+
+    The system is validated once, at construction; Sigma_z^{-1} rho is
+    solved on first use and cached, read-only, for every measure, so rho
+    and sigma_z must not be changed in place.
     """
 
     rho: np.ndarray
@@ -86,21 +158,10 @@ class GaussianSystem:
         s = np.asarray(self.sigma_z, dtype=float)
         if s.shape != (r.size, r.size):
             raise ValueError(f"sigma_z shape {s.shape} does not match m={r.size}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("sigma_z contains non-finite entries")
-        if not np.allclose(s, s.T, atol=1e-12, rtol=0.0):
-            raise ValueError("sigma_z must be symmetric")
-        if not np.allclose(np.diag(s), 1.0, atol=1e-12, rtol=0.0):
-            raise ValueError("sigma_z must have a unit diagonal")
         object.__setattr__(self, "rho", r)
         object.__setattr__(self, "sigma_z", s)
-        if np.linalg.eigvalsh(s).min() < -PSD_TOL:
-            raise ValueError("sigma_z is not positive semidefinite")
-        if np.linalg.eigvalsh(self.joint()).min() < -PSD_TOL:
-            raise ValueError(
-                "joint covariance [[sigma_z, rho], [rho^T, 1]] is not positive "
-                "semidefinite: the requested correlations are not realizable"
-            )
+        (eig_min,) = _check_stack(r[None], s[None], singular_is_error=False)
+        object.__setattr__(self, "_eig_min", float(eig_min))
 
     @property
     def m(self) -> int:
@@ -108,13 +169,16 @@ class GaussianSystem:
 
     def joint(self) -> np.ndarray:
         """The (m+1) x (m+1) correlation matrix of (Z_1, ..., Z_m, X)."""
-        m = self.rho.size
-        j = np.empty((m + 1, m + 1))
-        j[:m, :m] = self.sigma_z
-        j[:m, m] = self.rho
-        j[m, :m] = self.rho
-        j[m, m] = 1.0
-        return j
+        return _joint_stack(self.rho[None], self.sigma_z[None])[0]
+
+    @cached_property
+    def _readout(self) -> tuple:
+        """(Sigma_z^{-1} rho, rho^T Sigma_z^{-1} rho), solved once per system."""
+        if self._eig_min < _SINGULAR_EIG:
+            raise _singular(self._eig_min)
+        (beta,), (q,) = _solve_stack(self.rho[None], self.sigma_z[None])
+        beta.setflags(write=False)
+        return beta, q
 
     @classmethod
     def pair(cls, rho1: float, rho2: float, sigma12: float) -> "GaussianSystem":
@@ -161,15 +225,12 @@ def feasible_sigma12_range(rho1: float, rho2: float) -> Interval:
     return Interval(center - half_width, center + half_width)
 
 
-def _explained_variance(sys: GaussianSystem) -> float:
-    """rho^T Sigma_z^{-1} rho, the R^2 of the joint linear readout of X."""
-    eigs = np.linalg.eigvalsh(sys.sigma_z)
-    if eigs.min() < _SINGULAR_EIG:
-        raise ConditioningError(
-            f"sigma_z is singular (smallest eigenvalue {eigs.min():.3e}); "
-            "mutual information is not defined by the closed form"
-        )
-    return float(sys.rho @ np.linalg.solve(sys.sigma_z, sys.rho))
+def _mutual_information(q: float) -> float:
+    """-1/2 ln(1 - q) for the explained variance q = rho^T Sigma_z^{-1} rho."""
+    residual = 1.0 - q
+    if residual <= 0.0:
+        return np.inf
+    return max(0.0, -0.5 * np.log(residual))
 
 
 def gaussian_mutual_information(sys: GaussianSystem) -> float:
@@ -178,11 +239,7 @@ def gaussian_mutual_information(sys: GaussianSystem) -> float:
     Returns +inf when the joint matrix is singular (X is a deterministic
     function of the latents).
     """
-    q = _explained_variance(sys)
-    residual = 1.0 - q
-    if residual <= 0.0:
-        return np.inf
-    return max(0.0, -0.5 * np.log(residual))
+    return _mutual_information(sys._readout[1])
 
 
 def _single_predictor_information(rho: np.ndarray) -> np.ndarray:
@@ -284,15 +341,48 @@ def gaussian_ci_synergy(sys: GaussianSystem) -> float:
 
         CI = 1/2 ln(v / s2) + (s2 + d^T Sigma_z d) / (2 v) - 1/2.
     """
-    q = _explained_variance(sys)
+    beta, q = sys._readout
+    return _ci_synergy(sys.sigma_z, beta, q, gaussian_ci_posterior(sys.rho))
+
+
+def _ci_synergy(sigma: np.ndarray, beta: np.ndarray, q: float, post: CiPosterior) -> float:
     s2 = 1.0 - q
-    post = gaussian_ci_posterior(sys.rho)
     if s2 <= 0.0:
         # Deterministic target: the KL to any fixed-variance posterior diverges.
         return np.inf
-    beta = np.linalg.solve(sys.sigma_z, sys.rho)
     d = beta - post.weights
-    gap = float(d @ sys.sigma_z @ d)
+    gap = float(d @ sigma @ d)
     v = post.variance
     ci = 0.5 * np.log(v / s2) + (s2 + gap) / (2.0 * v) - 0.5
     return max(0.0, ci)
+
+
+def pair_curve(rho1: float, rho2: float, sigma12) -> dict:
+    """Measures of the two-predictor systems GaussianSystem.pair(rho1, rho2, s)
+    for every latent correlation s in the 1-D array sigma12, in nats.
+
+    Returns float arrays keyed "mutual_information", "union_information",
+    "gk_synergy" and "ci_synergy", each entry the bits of that measure on the
+    system built alone.  The systems are validated and solved as one stack;
+    an invalid one raises what building and measuring it alone would.
+    """
+    r = _as_rho_vector(np.array([rho1, rho2]))
+    s12 = np.asarray(sigma12, dtype=float)
+    if s12.ndim != 1:
+        raise ValueError("sigma12 must be a 1-D array of latent correlations")
+    sigma = np.empty((s12.size, 2, 2))
+    sigma[:, 0, 0] = sigma[:, 1, 1] = 1.0
+    sigma[:, 0, 1] = sigma[:, 1, 0] = s12
+    rho = np.broadcast_to(r, (s12.size, 2))
+    _check_stack(rho, sigma, singular_is_error=True)
+    beta, q = _solve_stack(rho, sigma)
+    union = gk_union_information(r)
+    post = gaussian_ci_posterior(r)
+    mi = [_mutual_information(qi) for qi in q]
+    return {
+        "mutual_information": np.array(mi),
+        "union_information": np.full(s12.size, union),
+        "gk_synergy": np.array([max(0.0, v - union) for v in mi]),
+        "ci_synergy": np.array([_ci_synergy(s, b, qi, post)
+                                for s, b, qi in zip(sigma, beta, q)]),
+    }

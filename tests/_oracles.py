@@ -297,3 +297,71 @@ def gaussian_readout_whole(x_mean, z_mean, x_sq_mean, z_sq_mean, xz_mean, eps, s
     bias = x_mean - weights @ z_mean
     variance = x_std ** 2 / one_plus_big_r
     return rho, weights, bias, variance
+
+
+def closed_form_measures(rho: np.ndarray, sigma: np.ndarray) -> tuple:
+    """(MI, WMS, GK, CI synergy) of one standardized Gaussian system, in nats,
+    by the per-system closed forms with one eigvalsh and one solve per
+    measure, as `gaussian` computed them before it stacked systems.
+
+    The order of every floating-point operation is kept, so results must
+    match the library's bit for bit; the return types (Python float for the
+    clamps and infinities, numpy float64 otherwise) are kept too.
+    """
+    def explained_variance():
+        if np.linalg.eigvalsh(sigma).min() < 1e-12:
+            raise ValueError("singular sigma_z")
+        return float(rho @ np.linalg.solve(sigma, rho))
+
+    def mutual_information():
+        residual = 1.0 - explained_variance()
+        if residual <= 0.0:
+            return np.inf
+        return max(0.0, -0.5 * np.log(residual))
+
+    k = int(np.argmax(np.abs(rho)))
+    union = float((-0.5 * np.log1p(-rho[k:k + 1] ** 2))[0])
+    mi = mutual_information()
+    wms = mutual_information() - float((-0.5 * np.log1p(-rho ** 2)).sum())
+    gk = max(0.0, mutual_information() - union)
+
+    s2 = 1.0 - explained_variance()
+    r = np.clip(rho, -(1.0 - 1e-4), 1.0 - 1e-4)
+    big_r = float((r ** 2 / (1.0 - r ** 2)).sum())
+    weights = (r / (1.0 - r ** 2)) / (1.0 + big_r)
+    v = 1.0 / (1.0 + big_r)
+    if s2 <= 0.0:
+        ci = np.inf
+    else:
+        d = np.linalg.solve(sigma, rho) - weights
+        gap = float(d @ sigma @ d)
+        ci = max(0.0, 0.5 * np.log(v / s2) + (s2 + gap) / (2.0 * v) - 0.5)
+    return mi, wms, gk, ci
+
+
+def synergy_curve_grid(rho1: float, rho2: float, steps: int) -> np.ndarray:
+    """The `synergy-curve` grid: strictly interior points of the feasible
+    Sigma_12 interval, with the union-gap zero snapped onto the nearest one."""
+    half = np.sqrt((1.0 - rho1 ** 2) * (1.0 - rho2 ** 2))
+    lo, hi = rho1 * rho2 - half, rho1 * rho2 + half
+    grid = lo + (hi - lo) * (np.arange(1, steps + 1) / (steps + 1))
+    mags = np.abs([rho1, rho2])
+    if mags.max() > 0 and mags[0] != mags[1]:
+        zero = (rho1 / rho2) if np.argmax(mags) == 1 else (rho2 / rho1)
+        if lo < zero < hi:
+            grid[np.argmin(np.abs(grid - zero))] = zero
+    return grid
+
+
+def synergy_curve_rows(rho1: float, rho2: float, sigma12, scale: float = 1.0) -> list:
+    """(sigma12, MI, union, GK, CI) rows of a pair curve, one system at a time,
+    each measure multiplied by scale (1 / ln 2 for bits)."""
+    rho = np.array([rho1, rho2], dtype=float)
+    k = int(np.argmax(np.abs(rho)))
+    union = float((-0.5 * np.log1p(-rho[k:k + 1] ** 2))[0])
+    rows = []
+    for s12 in sigma12:
+        sigma = np.array([[1.0, float(s12)], [float(s12), 1.0]])
+        mi, _, gk, ci = closed_form_measures(rho, sigma)
+        rows.append((float(s12), scale * mi, scale * union, scale * gk, scale * ci))
+    return rows

@@ -14,7 +14,10 @@ from minsyn.cli import main
 from minsyn.gaussian import GaussianSystem, gk_synergy
 from minsyn.idx import labels_tensor, write_idx, write_idx_file, images_tensor
 from minsyn.nn import build_autoencoder
+from minsyn.svg import line_plot_svg
 from minsyn.words import builtin_glyph
+
+from _oracles import synergy_curve_grid, synergy_curve_rows
 
 
 def write_config(path: Path, doc: dict) -> Path:
@@ -246,6 +249,23 @@ class TestSynergyCurve:
             s12, mi, ui, gk, ci = (float(v) for v in r.split(","))
             assert gk == pytest.approx(
                 gk_synergy(GaussianSystem.pair(0.5, 0.75, s12)), abs=1e-9)
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    @pytest.mark.parametrize("rho1, rho2", [(0.5, 0.75), (-0.3, 0.6)])
+    def test_files_equal_per_system_rows(self, tmp_path, rho1, rho2, units):
+        out = tmp_path / "curve"
+        assert main(["synergy-curve", "--rho1", str(rho1), "--rho2", str(rho2),
+                     "--units", units, "--out-dir", str(out)]) == 0
+        scale = 1.0 / np.log(2.0) if units == "bits" else 1.0
+        rows = synergy_curve_rows(rho1, rho2, synergy_curve_grid(rho1, rho2, 101), scale)
+        header = ["sigma12", "mutual_information", "union_information", "gk_synergy",
+                  "ci_synergy"]
+        csv = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+        assert (out / "synergy_curve.csv").read_text() == ",".join(header) + "\n" + csv
+        series = {name: [r[i] for r in rows] for i, name in enumerate(header[1:], start=1)}
+        svg = line_plot_svg([r[0] for r in rows], series, title=f"rho1={rho1:g}, rho2={rho2:g}",
+                            xlabel="sigma12", ylabel=f"information ({units})")
+        assert (out / "synergy_curve.svg").read_text() == svg
 
     def test_bits_units(self, tmp_path):
         out_n, out_b = tmp_path / "nats", tmp_path / "bits"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,30 @@ from minsyn.gaussian import (
     gk_minimizing_covariance,
     gk_synergy,
     gk_union_information,
+    pair_curve,
     wms_synergy,
 )
 
 from _oracles import (
     ci_posterior_numeric,
+    closed_form_measures,
     eig_scan_interval,
     mc_gaussian_ci_synergy,
     mi_quadrature_bivariate,
+    synergy_curve_grid,
+    synergy_curve_rows,
 )
+
+MEASURES = (gaussian_mutual_information, wms_synergy, gk_synergy, gaussian_ci_synergy)
+
+
+def random_correlation(rng, size):
+    a = rng.standard_normal((size, size + 2))
+    c = a @ a.T
+    d = 1.0 / np.sqrt(np.diag(c))
+    c = c * d[:, None] * d[None, :]
+    np.fill_diagonal(c, 1.0)
+    return (c + c.T) / 2.0
 
 
 class TestFeasibleRange:
@@ -74,6 +91,108 @@ class TestGaussianSystem:
         with pytest.raises(ValueError):
             GaussianSystem(np.array([0.1, 0.1]),
                            np.array([[1.0, 0.2], [0.3, 1.0]]))
+
+    @pytest.mark.parametrize("rho, sigma, message", [
+        ([0.1, 0.1], [[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+        ([0.1, 0.1], [[1.0, 1.5], [1.5, 1.0]], "sigma_z is not positive semidefinite"),
+        ([0.5, 0.75], [[1.0, -0.5], [-0.5, 1.0]], "not realizable"),
+        ([0.1, 0.1], np.eye(3), "does not match"),
+    ])
+    def test_rejects_with_message(self, rho, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianSystem(np.array(rho), np.array(sigma))
+
+    def test_measures_share_one_solve(self, monkeypatch):
+        calls = {"solve": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sys_ = GaussianSystem(np.array([0.3, -0.6, 0.45]),
+                              np.array([[1.0, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 1.0]]))
+        assert calls == {"solve": 0, "eigvalsh": 2}  # sigma_z and the joint
+        for f in MEASURES:
+            f(sys_)
+        assert calls == {"solve": 1, "eigvalsh": 2}
+
+    def test_cached_solution_is_read_only(self):
+        sys_ = GaussianSystem.pair(0.5, 0.75, -0.10)
+        beta, _ = sys_._readout
+        assert not beta.flags.writeable
+        with pytest.raises(ValueError):
+            beta[0] = 0.0
+
+    def test_measures_match_per_system_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            c = random_correlation(rng, int(rng.integers(2, 8)))
+            rho, sigma = c[-1, :-1].copy(), c[:-1, :-1].copy()
+            got = tuple(f(GaussianSystem(rho, sigma)) for f in MEASURES)
+            # repr tells floats apart by their bits and by their type
+            assert repr(got) == repr(closed_form_measures(rho, sigma))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _one_at_a_time(rho1, rho2, sigma12):
+    for s12 in sigma12:
+        sys_ = GaussianSystem.pair(rho1, rho2, s12)
+        for f in MEASURES:
+            f(sys_)
+
+
+class TestPairCurve:
+    COLUMNS = ["mutual_information", "union_information", "gk_synergy", "ci_synergy"]
+
+    def assert_matches_oracle(self, rho1, rho2, grid):
+        curve = pair_curve(rho1, rho2, grid)
+        assert list(curve) == self.COLUMNS
+        rows = synergy_curve_rows(rho1, rho2, grid)
+        for i, name in enumerate(self.COLUMNS, start=1):
+            assert _bits(curve[name]) == _bits([r[i] for r in rows]), name
+
+    @pytest.mark.parametrize("rho1, rho2, steps", [
+        (0.5, 0.75, 101),    # the paper pair
+        (-0.3, 0.6, 101),    # mixed signs
+        (0.6, -0.45, 101),
+        (-0.8, -0.2, 101),   # both negative
+        (0.7, -0.7, 101),    # equal magnitudes: no snapped zero
+        (0.4, 0.4, 101),
+        (0.5, 0.75, 3),
+    ])
+    def test_matches_per_system_oracle(self, rho1, rho2, steps):
+        self.assert_matches_oracle(rho1, rho2, synergy_curve_grid(rho1, rho2, steps))
+
+    def test_snapped_zero_of_the_paper_pair(self):
+        grid = synergy_curve_grid(0.5, 0.75, 101)
+        at = int(np.flatnonzero(grid == 0.5 / 0.75)[0])
+        assert pair_curve(0.5, 0.75, grid)["gk_synergy"][at] == 0.0
+
+    def test_matches_per_system_oracle_on_seeded_pairs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            rho1, rho2 = rng.uniform(-0.95, 0.95, size=2)
+            self.assert_matches_oracle(rho1, rho2, synergy_curve_grid(rho1, rho2, 101))
+
+    @pytest.mark.parametrize("rho1, rho2, sigma12, error", [
+        (0.0, 0.0, [0.5, 1.5], ValueError),            # sigma_z not PSD
+        (0.5, 0.75, [0.0, -0.5], ValueError),          # joint not PSD
+        (0.5, 0.75, [0.1, np.nan], ValueError),
+        (1.0, 0.5, [0.1], ValueError),
+        (0.3, 0.3, [0.5, 1.0], ConditioningError),     # singular sigma_z
+        (0.3, 0.3, [0.5, 1.0, 1.5], ConditioningError),  # the first failing system wins
+        (0.3, 0.3, [0.5, 1.5, 1.0], ValueError),
+    ])
+    def test_raises_what_one_system_at_a_time_raises(self, rho1, rho2, sigma12, error):
+        with pytest.raises(ValueError) as alone:
+            _one_at_a_time(rho1, rho2, sigma12)
+        assert type(alone.value) is error
+        with pytest.raises(error, match=f"^{re.escape(str(alone.value))}$") as stacked:
+            pair_curve(rho1, rho2, np.array(sigma12))
+        assert type(stacked.value) is error
 
 
 class TestMutualInformation:
