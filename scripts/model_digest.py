@@ -11,6 +11,11 @@ The script prints, one fact per line:
   from --seed, in nats and in bits;
 - MI, WMS, GK and CI synergy, and GK synergy at the GK-minimizing
   covariance, of 50 Gaussian systems of 3 to 7 variables drawn from --seed;
+- CI synergy, WMS synergy, total correlation, the whole-group MI and each
+  single-latent MI of two discrete joints per latent count from 1 to
+  `MAX_LATENTS`, drawn from --seed: one binary, one of mixed arities with
+  zero cells; for joints of at most 8 latents, also the SHA-256 of
+  `to_text()` and of the bytes of `from_text(to_text()).probs`;
 - the SHA-256 of every checkpoint array and of history.csv;
 - for MinSyn models, the SHA-256 of the moving-average readout's arrays;
 - for word models, the report losses (train and test, mse) and acc;
@@ -35,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from minsyn import cli, gaussian
+from minsyn import cli, discrete, gaussian
 from minsyn.checkpoint import load_checkpoint, restore_model
 from minsyn.config import load_config
 from minsyn.idx import images_tensor, read_idx_file, write_idx_file
@@ -49,6 +54,8 @@ EVAL_IMAGES = 2000
 EVAL_IMAGE_SEED = 12
 SEEDED_PAIRS = 5
 GAUSSIAN_SYSTEMS = 50
+MIXED_JOINT_CELLS = 1 << 14
+TEXT_LATENTS = 8
 
 
 def sha(data: bytes) -> str:
@@ -139,6 +146,30 @@ def synergy_digest(out_dir: Path, seed: int):
         yield (f"gaussian system {i} mi {gaussian.gaussian_mutual_information(s)!r} "
                f"wms {gaussian.wms_synergy(s)!r} gk {gaussian.gk_synergy(s)!r} "
                f"ci {gaussian.gaussian_ci_synergy(s)!r} gk_at_minimizer {at_min!r}")
+    for m in range(1, discrete.MAX_LATENTS + 1):
+        binary = rng.dirichlet(np.ones(2 ** (m + 1))).reshape((2,) * (m + 1))
+        arities = rng.integers(1, 4, size=m + 1)
+        arities[-1] += 1
+        while np.prod(arities) > MIXED_JOINT_CELLS:
+            arities[np.argmax(arities)] -= 1
+        mixed = rng.dirichlet(np.ones(np.prod(arities))).reshape(arities)
+        mixed[rng.random(mixed.shape) < 0.3] = 0.0
+        for kind, table in (("binary", binary), ("mixed", mixed / mixed.sum())):
+            yield discrete_line(f"discrete {kind} {table.shape}", discrete.DiscreteJoint(table))
+
+
+def discrete_line(name: str, joint) -> str:
+    line = (f"{name} ci {discrete.discrete_ci_synergy(joint)!r} "
+            f"wms {discrete.discrete_wms_synergy(joint)!r} "
+            f"tc {discrete.total_correlation(joint)!r} "
+            f"mi {discrete.mutual_information(joint, range(joint.m))!r} mi_single")
+    for j in range(joint.m):
+        line += f" {discrete.mutual_information(joint, [j])!r}"
+    if joint.m <= TEXT_LATENTS:
+        text = joint.to_text()
+        again = discrete.DiscreteJoint.from_text(text)
+        line += f" text {sha(text.encode())} round_trip {sha(again.probs.tobytes())}"
+    return line
 
 
 def main() -> None:

@@ -8,7 +8,9 @@ the Gaussian closed forms and the learned decoders.  All values in nats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -23,18 +25,48 @@ class AbsoluteContinuityError(ValueError):
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log(p[mask])
+    # 0 ln 0 = 0 stays in place, so a sum runs over the whole table.
+    out = np.log(np.where(p > 0.0, p, 1.0))
+    out *= p
     return out
+
+
+def _entropy(p: np.ndarray) -> float:
+    """-sum p ln p of a table that is already a validated distribution."""
+    return float(-_xlogx(p).sum())
+
+
+class _Symbols(dict):
+    """int() of each distinct symbol token, parsed once per table."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def entropy(marginal) -> float:
     """Shannon entropy -sum p ln p of a single distribution, with 0 ln 0 = 0."""
     p = np.asarray(marginal, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("distribution contains non-finite entries")
     if np.any(p < -_SUM_TOL) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"not a probability distribution (sum={p.sum()!r})")
-    return float(-_xlogx(np.clip(p, 0.0, None)).sum())
+    return _entropy(np.clip(p, 0.0, None))
+
+
+def _group_mi(p_gx: np.ndarray, p_g: np.ndarray, p_x: np.ndarray) -> float:
+    """I(G; X) from the (g..., x) table and its two marginals."""
+    return max(0.0, _entropy(p_g.ravel()) + _entropy(p_x) - _entropy(p_gx.ravel()))
+
+
+def _table_mi(p_gx: np.ndarray) -> float:
+    """I(G; X) from the (g..., x) table alone."""
+    return _group_mi(p_gx, p_gx.sum(axis=-1), p_gx.sum(axis=tuple(range(p_gx.ndim - 1))))
 
 
 @dataclass(frozen=True)
@@ -42,6 +74,9 @@ class DiscreteJoint:
     """Dense joint distribution over m latents Z_1..Z_m and one target X.
 
     ``probs`` has shape ``arities`` with axes ordered (z_1, ..., z_m, x).
+    The joint is validated once, at construction, and ``probs`` is
+    read-only: the marginals and mutual informations the measures share are
+    computed on first use and cached, read-only, on the joint.
     """
 
     probs: np.ndarray
@@ -53,11 +88,13 @@ class DiscreteJoint:
             raise ValueError("a joint needs at least one latent and the target")
         if p.ndim - 1 > MAX_LATENTS:
             raise ValueError(f"at most {MAX_LATENTS} latent variables supported")
-        if np.any(p < -_SUM_TOL):
+        if not np.isfinite(p).all():
+            raise ValueError("probs contains non-finite entries")
+        if (p < -_SUM_TOL).any():
             raise ValueError("negative probability entries")
         if abs(p.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+        object.__setattr__(self, "probs", _read_only(np.clip(p, 0.0, None)))
         object.__setattr__(self, "arities", p.shape)
 
     @property
@@ -68,12 +105,33 @@ class DiscreteJoint:
     def x_axis(self) -> int:
         return self.probs.ndim - 1
 
+    @cached_property
+    def _x_marginal(self) -> np.ndarray:
+        return _read_only(self.probs.sum(axis=tuple(range(self.m))))
+
+    @cached_property
+    def _z_marginal(self) -> np.ndarray:
+        return _read_only(self.probs.sum(axis=self.x_axis))
+
+    @cached_property
+    def _pair_marginals(self) -> tuple:
+        """p(z_j, x) of each latent j, shape (arity_j, |X|)."""
+        return tuple(_read_only(self.marginal([j, self.x_axis])) for j in range(self.m))
+
+    @cached_property
+    def _whole_mi(self) -> float:
+        return _group_mi(self.probs, self._z_marginal, self._x_marginal)
+
+    @cached_property
+    def _single_mis(self) -> tuple:
+        return tuple(_table_mi(p_jx) for p_jx in self._pair_marginals)
+
     def x_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=tuple(range(self.m)))
+        return self._x_marginal.copy()
 
     def z_marginal(self) -> np.ndarray:
         """Joint distribution of the latents with X summed out."""
-        return self.probs.sum(axis=self.x_axis)
+        return self._z_marginal.copy()
 
     def marginal(self, axes) -> np.ndarray:
         """Marginal over the given axes (latents by index, target = m)."""
@@ -114,44 +172,46 @@ class DiscreteJoint:
         One line per configuration: the integer symbol of each latent, then
         the target symbol, then the probability, all space-separated.  Lines
         starting with ``#`` and blank lines are ignored; absent
-        configurations have probability zero; arities are inferred as
-        (largest symbol + 1) per column.
+        configurations have probability zero; lines repeating a
+        configuration are summed in file order; arities are inferred as
+        (largest symbol + 1) per column.  A parse error names the first bad line.
         """
-        rows = []
+        symbol = _Symbols().__getitem__
+        symbols, probs = [], []
         for ln_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) < 3:
                 raise ValueError(f"line {ln_no}: need at least z, x and a probability")
             try:
-                symbols = [int(tok) for tok in parts[:-1]]
+                row = list(map(symbol, parts[:-1]))
                 prob = float(parts[-1])
             except ValueError as exc:
                 raise ValueError(f"line {ln_no}: {exc}") from None
-            if any(s < 0 for s in symbols):
+            if min(row) < 0:
                 raise ValueError(f"line {ln_no}: negative symbol")
-            rows.append((symbols, prob))
-        if not rows:
+            if not math.isfinite(prob):
+                raise ValueError(f"line {ln_no}: probability contains non-finite entries")
+            symbols.append(row)
+            probs.append(prob)
+        if not symbols:
             raise ValueError("empty table")
-        width = len(rows[0][0])
-        if any(len(sym) != width for sym, _ in rows):
+        width = len(symbols[0])
+        if any(len(row) != width for row in symbols):
             raise ValueError("inconsistent number of variables across lines")
-        arities = [max(sym[i] for sym, _ in rows) + 1 for i in range(width)]
-        table = np.zeros(arities)
-        for sym, prob in rows:
-            table[tuple(sym)] += prob
+        columns = list(zip(*symbols))
+        table = np.zeros([max(column) + 1 for column in columns])
+        np.add.at(table, tuple(np.array(columns, dtype=np.intp)), probs)
         return cls(table)
 
     def to_text(self) -> str:
-        lines = []
-        for idx in product(*(range(a) for a in self.arities)):
-            p = self.probs[idx]
-            if p > 0.0:
-                lines.append(" ".join(str(i) for i in idx) + f" {float(p)!r}")
-        return "\n".join(lines) + "\n"
-
+        """The text format: one line per positive configuration, in C order."""
+        where = np.nonzero(self.probs > 0.0)
+        names = [f"{s} " for s in range(max(self.arities))]
+        columns = [list(map(names.__getitem__, i.tolist())) for i in where]
+        values = map(repr, self.probs[where].tolist())
+        return "\n".join(map("".join, zip(*columns, values))) + "\n"
 
 def mutual_information(joint: DiscreteJoint, group) -> float:
     """I(Z_group; X) by exact summation; ``group`` holds latent indices."""
@@ -160,11 +220,11 @@ def mutual_information(joint: DiscreteJoint, group) -> float:
         raise ValueError("group of latent indices must be non-empty")
     if any(i < 0 or i >= joint.m for i in idx):
         raise ValueError(f"latent index out of range for m={joint.m}")
-    p_gx = joint.marginal(idx + [joint.x_axis])
-    p_g = p_gx.sum(axis=-1)
-    p_x = p_gx.sum(axis=tuple(range(p_gx.ndim - 1)))
-    h = entropy(p_g.ravel()) + entropy(p_x) - entropy(p_gx.ravel())
-    return max(0.0, h)
+    if len(idx) == joint.m:
+        return joint._whole_mi
+    if len(idx) == 1:
+        return joint._single_mis[idx[0]]
+    return _table_mi(joint.marginal(idx + [joint.x_axis]))
 
 
 def total_correlation(joint: DiscreteJoint) -> float:
@@ -172,12 +232,14 @@ def total_correlation(joint: DiscreteJoint) -> float:
 
     Zero exactly when the latents are independent.
     """
-    pz = joint.z_marginal()
+    # H(Z_j) from the latent marginal, not from the cached (z_j, x) pairs:
+    # those sums would round differently.
+    pz = joint._z_marginal
     singles = sum(
-        entropy(pz.sum(axis=tuple(a for a in range(pz.ndim) if a != j)))
+        _entropy(pz.sum(axis=tuple(a for a in range(pz.ndim) if a != j)))
         for j in range(pz.ndim)
     )
-    return max(0.0, singles - entropy(pz.ravel()))
+    return max(0.0, singles - _entropy(pz.ravel()))
 
 
 @dataclass(frozen=True)
@@ -193,20 +255,24 @@ class CiDecoderTable:
     p_ci_z: np.ndarray
 
 
-def _ci_joint(joint: DiscreteJoint) -> np.ndarray:
-    """p(x) * prod_j p(z_j | x) laid out like the original table."""
-    p_x = joint.x_marginal()
-    table = np.ones_like(joint.probs) * p_x  # broadcasts onto the last axis
+def _ci_posterior(joint: DiscreteJoint) -> tuple:
+    """(p_ci(x|z), the rows where p_ci(z) > 0, p_ci(z)); rows where p_ci(z) = 0
+    are zero.  p(x) prod_j p(z_j|x) is multiplied in the order of j, one
+    latent axis at a time."""
+    p_x = joint._x_marginal
     safe_px = np.where(p_x > 0.0, p_x, 1.0)
-    for j in range(joint.m):
-        keep = tuple(a for a in range(joint.m) if a != j)
-        pjx = joint.probs.sum(axis=keep)  # (arity_j, |X|)
-        cond = pjx / safe_px
-        shape = [1] * joint.probs.ndim
-        shape[j] = cond.shape[0]
-        shape[-1] = cond.shape[1]
-        table = table * cond.reshape(shape)
-    return table
+    ci = p_x
+    for p_jx in joint._pair_marginals:
+        ci = ci[..., None, :] * (p_jx / safe_px)
+    p_ci_z = ci.sum(axis=-1)
+    bad = (joint._z_marginal > 0.0) & (p_ci_z <= 0.0)
+    if np.any(bad):
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise AbsoluteContinuityError(
+            f"p(z) > 0 but the factorized model gives zero mass at z={where}"
+        )
+    defined = p_ci_z > 0.0
+    return ci / np.where(defined, p_ci_z, 1.0)[..., None], defined, p_ci_z
 
 
 def ci_decoder_distribution(joint: DiscreteJoint) -> CiDecoderTable:
@@ -217,19 +283,8 @@ def ci_decoder_distribution(joint: DiscreteJoint) -> CiDecoderTable:
     (cannot happen for tables that are exactly consistent, but guards
     rounded input).
     """
-    ci = _ci_joint(joint)
-    p_ci_z = ci.sum(axis=-1)
-    p_z = joint.z_marginal()
-    bad = (p_z > 0.0) & (p_ci_z <= 0.0)
-    if np.any(bad):
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise AbsoluteContinuityError(
-            f"p(z) > 0 but the factorized model gives zero mass at z={where}"
-        )
-    defined = p_ci_z > 0.0
-    safe = np.where(defined, p_ci_z, 1.0)
-    probs = ci / safe[..., None]
-    probs = np.where(defined[..., None], probs, np.nan)
+    q, defined, p_ci_z = _ci_posterior(joint)
+    probs = np.where(defined[..., None], q, np.nan)
     return CiDecoderTable(probs=probs, defined=defined, p_ci_z=p_ci_z)
 
 
@@ -240,29 +295,23 @@ def discrete_ci_synergy(joint: DiscreteJoint) -> float:
         # One latent: the factorized posterior IS the Bayes posterior, so the
         # divergence is identically zero (skip the rounding noise).
         return 0.0
-    decoder = ci_decoder_distribution(joint)
-    p_z = joint.z_marginal()
-    safe_pz = np.where(p_z > 0.0, p_z, 1.0)
-    post = joint.probs / safe_pz[..., None]
-    q = decoder.probs
-    support = (joint.probs > 0.0) & (p_z > 0.0)[..., None]
-    if np.any(support & ~(np.nan_to_num(q, nan=0.0) > 0.0)):
-        where = tuple(int(i) for i in np.argwhere(
-            (support & ~(np.nan_to_num(q, nan=0.0) > 0.0)).any(axis=-1))[0])
+    q, _, _ = _ci_posterior(joint)
+    p_z = joint._z_marginal
+    post = joint.probs / np.where(p_z > 0.0, p_z, 1.0)[..., None]
+    # p(z, x) > 0 implies p(z) > 0, and q is zero on rows where p_ci(z) = 0.
+    support = joint.probs > 0.0
+    lacking = support & (q <= 0.0)
+    if np.any(lacking):
+        where = tuple(int(i) for i in np.argwhere(lacking.any(axis=-1))[0])
         raise AbsoluteContinuityError(
             f"true posterior has mass the factorized model lacks at z={where}"
         )
-    ratio = np.ones_like(post)
-    np.divide(post, q, out=ratio, where=support)
-    terms = np.zeros_like(post)
-    np.multiply(post, np.log(ratio, where=support, out=np.zeros_like(ratio)),
-                out=terms, where=support)
-    kl_per_z = terms.sum(axis=-1)
+    # Off the support the ratio stays 1 and post is 0, so each term is 0.
+    ratio = np.divide(post, q, out=np.ones_like(post), where=support)
+    kl_per_z = (post * np.log(ratio, out=ratio)).sum(axis=-1)
     return max(0.0, float((p_z * kl_per_z).sum()))
 
 
 def discrete_wms_synergy(joint: DiscreteJoint) -> float:
     """Whole-minus-sum synergy I(Z_{1:m};X) - sum_j I(Z_j;X); may be negative."""
-    whole = mutual_information(joint, range(joint.m))
-    singles = sum(mutual_information(joint, [j]) for j in range(joint.m))
-    return whole - singles
+    return joint._whole_mi - sum(joint._single_mis)

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +227,175 @@ class TestRelabelingInvariance:
         for f in (discrete_ci_synergy, discrete_wms_synergy, total_correlation):
             assert f(joint) == pytest.approx(f(flipped), abs=1e-12)
             assert f(joint) == pytest.approx(f(swapped), abs=1e-12)
+
+
+def mixed_joint(rng, arities, zero_fraction=0.3) -> DiscreteJoint:
+    """Random joint with zero cells; the last cell stays positive, so the
+    text format infers every arity back."""
+    p = rng.random(arities)
+    p[rng.random(arities) < zero_fraction] = 0.0
+    p[(-1,) * len(arities)] = 0.5
+    return DiscreteJoint(p / p.sum())
+
+
+MIXED_ARITIES = [(2, 3), (3, 1, 2), (4, 2, 3), (2, 3, 2, 4), (1, 3, 1, 2), (2,) * 6 + (3,)]
+
+
+class TestTextFormat:
+    """The plain-text table format, pinned byte for byte."""
+
+    @pytest.mark.parametrize("arities", MIXED_ARITIES)
+    def test_round_trip_is_byte_exact(self, arities):
+        joint = mixed_joint(np.random.default_rng(len(arities)), arities)
+        assert (joint.probs == 0.0).any()
+        text = joint.to_text()
+        again = DiscreteJoint.from_text(text)
+        assert again.arities == joint.arities
+        assert again.probs.tobytes() == joint.probs.tobytes()
+        assert again.to_text() == text
+
+    def test_to_text_literal(self):
+        p = np.zeros((2, 3, 2))
+        p[0, 0, 0], p[0, 1, 0], p[0, 1, 1] = 0.1, 0.2, 0.05
+        p[1, 0, 0], p[1, 0, 1], p[1, 1, 1], p[1, 2, 0] = 0.15, 0.25, 0.125, 0.125
+        assert DiscreteJoint(p).to_text() == (
+            "0 0 0 0.1\n0 1 0 0.2\n0 1 1 0.05\n1 0 0 0.15\n"
+            "1 0 1 0.25\n1 1 1 0.125\n1 2 0 0.125\n")
+        q = np.zeros((11, 2))
+        q[0, 0], q[3, 1], q[10, 1] = 1 / 3, 1 / 6, 0.5
+        assert DiscreteJoint(q).to_text() == (
+            "0 0 0.3333333333333333\n3 1 0.16666666666666666\n10 1 0.5\n")
+
+    def test_duplicate_lines_sum_in_file_order(self):
+        joint = DiscreteJoint.from_text("0 0 0.1\n1 1 0.4\n0 0 0.2\n0 0 0.3\n")
+        # (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001; 0.1 + (0.2 + 0.3) is 0.6
+        assert repr(float(joint.probs[0, 0])) == "0.6000000000000001"
+        assert joint.probs[1, 1] == 0.4
+        assert joint.probs[0, 1] == joint.probs[1, 0] == 0.0
+
+    def test_comments_and_blank_lines_ignored(self):
+        plain = "0 0 0.25\n0 1 0.25\n1 0 0.5\n"
+        noisy = ("# a comment\n\n   \n  # indented comment\n0 0 0.25\n"
+                 "\t0\t1   0.25  \n\n#0 0 0.9\n1 0 0.5\n# trailing\n")
+        a, b = DiscreteJoint.from_text(plain), DiscreteJoint.from_text(noisy)
+        assert a.arities == b.arities == (2, 2)
+        assert a.probs.tobytes() == b.probs.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0 0.5\n0 1\n", "line 2: need at least z, x and a probability"),
+        ("0 0 0.5\n\n0 a 0.5\n", "line 3: invalid literal for int() with base 10: 'a'"),
+        ("0 0 0.5\n0 1 x\n", "line 2: could not convert string to float: 'x'"),
+        ("# c\n0 0 0.5\n0 -1 0.5\n", "line 3: negative symbol"),
+        ("0 0 0.5\n0 0 1 0.5\n", "inconsistent number of variables across lines"),
+        ("", "empty table"),
+        ("# only a comment\n\n", "empty table"),
+    ])
+    def test_errors_keep_type_message_and_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            DiscreteJoint.from_text(text)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # a negative symbol on line 1 beats a bad token on line 2
+        ("0 -1 0.5\n0 a 0.5\n", "line 1: negative symbol"),
+        # within a line every token is converted before the sign check
+        ("-1 a 0.5\n", "line 1: invalid literal for int() with base 10: 'a'"),
+        # widths are compared only after every line has parsed
+        ("0 0 0.5\n0 0 1 0.5\n1 b 0.1\n", "line 3: invalid literal for int() with base 10: 'b'"),
+        ("0 0 0.5\n0 1\n0 a 0.5\n", "line 2: need at least z, x and a probability"),
+    ])
+    def test_first_bad_line_wins(self, text, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            DiscreteJoint.from_text(text)
+
+
+class TestNonFinite:
+    def test_joint_rejects_nan_and_inf(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                DiscreteJoint(np.array([[bad, 0.5], [0.25, 0.25]]))
+
+    def test_entropy_rejects_nan_and_inf(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy([np.nan, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy([np.inf, 0.0])
+
+    def test_from_text_rejects_non_finite_on_its_line(self):
+        with pytest.raises(ValueError, match="^line 1: .*non-finite"):
+            DiscreteJoint.from_text("0 0 nan\n0 1 0.5\n1 0 0.25\n1 1 0.25\n")
+        with pytest.raises(ValueError, match="^line 3: .*non-finite"):
+            DiscreteJoint.from_text("0 0 0.5\n# c\n0 1 inf\n")
+
+
+def _whole_mi(joint):
+    return mutual_information(joint, range(joint.m))
+
+
+def _first_mi(joint):
+    return mutual_information(joint, [0])
+
+
+MEASURES = (discrete_ci_synergy, discrete_wms_synergy, total_correlation, _whole_mi, _first_mi)
+CACHES = ("_x_marginal", "_z_marginal", "_pair_marginals", "_whole_mi", "_single_mis")
+
+
+def cache_test_tables():
+    rng = np.random.default_rng(21)
+    return [random_joint(rng, m=3).probs, mixed_joint(rng, (2, 3, 1, 2)).probs,
+            DiscreteJoint.xor().probs]
+
+
+class TestSharedMarginals:
+    """The marginals and mutual informations cached on a joint."""
+
+    @pytest.mark.parametrize("table", cache_test_tables())
+    def test_same_values_in_every_call_order(self, table):
+        first = {f: repr(f(DiscreteJoint(table))) for f in MEASURES}
+        for order in itertools.permutations(MEASURES):
+            joint = DiscreteJoint(table)
+            assert [repr(f(joint)) for f in order] == [first[f] for f in order]
+
+    def test_probs_and_cached_arrays_are_read_only(self):
+        joint = random_joint(np.random.default_rng(22), m=3)
+        for f in MEASURES:
+            f(joint)
+        for a in (joint.probs, joint._x_marginal, joint._z_marginal, *joint._pair_marginals):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            joint.probs[0, 0, 0, 0] = 1.0
+
+    def test_returned_marginals_do_not_reach_a_cache(self):
+        table = random_joint(np.random.default_rng(23), m=3).probs.copy()
+        joint = DiscreteJoint(table)
+        before = [repr(f(joint)) for f in MEASURES]
+        x, z = joint.x_marginal(), joint.z_marginal()
+        x_bytes, z_bytes = x.tobytes(), z.tobytes()
+        x[...] = 9.0
+        z[...] = 9.0
+        for axes in ([0, joint.m], [joint.m], list(range(joint.m)), list(range(joint.m + 1))):
+            joint.marginal(axes)[...] = 9.0
+        table[...] = 9.0
+        assert [repr(f(joint)) for f in MEASURES] == before
+        assert joint.x_marginal().tobytes() == x_bytes
+        assert joint.z_marginal().tobytes() == z_bytes
+
+    def test_each_cache_is_built_once_per_joint(self, monkeypatch):
+        builds = dict.fromkeys(CACHES, 0)
+        for name in CACHES:
+            prop = vars(DiscreteJoint)[name]
+
+            def counted(joint, build=prop.func, name=name):
+                builds[name] += 1
+                return build(joint)
+
+            monkeypatch.setattr(prop, "func", counted)
+        joint = random_joint(np.random.default_rng(24), m=4)
+        for f in MEASURES:
+            f(joint)
+        for j in range(joint.m):
+            mutual_information(joint, [j])
+        ci_decoder_distribution(joint)
+        discrete_wms_synergy(joint)
+        assert builds == dict.fromkeys(CACHES, 1)
