@@ -15,31 +15,32 @@ needed; point the same flow at real handwritten-digit IDX files via
 Run:  python3 demos/digits_noise_robustness.py   (a few minutes)
 """
 
+from pathlib import Path
+
+from minsyn.config import load_config
 from minsyn.metrics import reconstruction_loss
-from minsyn.nn import TrainConfig, train_autoencoder
+from minsyn.nn import train_autoencoder
 from minsyn.noise import NOISE_KINDS, apply_noise
 from minsyn.words import synthetic_digits
 
-# mirrors configs/digits_*.json
-TRAIN, TEST, EPOCHS = 1000, 300, 600
-LAYERS = ((128, "sigmoid"), (128, "sigmoid"), (128, "sigmoid"))
-LR = {"minsyn_binary": 0.003, "learned_sigmoid": 0.001}
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
-def train(decoder_kind, data):
-    cfg = TrainConfig(epochs=EPOCHS, batch_size=100, seed=0, lr=LR[decoder_kind],
-                      decoder_kind=decoder_kind, encoder_spec=LAYERS)
-    model, history = train_autoencoder(cfg, data)
-    print(f"  {decoder_kind}: cross entropy {history[0]:.1f} -> {history[-1]:.1f}")
+def train(cfg, data):
+    model, history = train_autoencoder(cfg.train_config(), data)
+    print(f"  {cfg.decoder_kind}: cross entropy {history[0]:.1f} -> {history[-1]:.1f}")
     return model
 
 
 def main():
-    train_imgs, _ = synthetic_digits(TRAIN, seed=10)
-    test_imgs, _ = synthetic_digits(TEST, seed=11)
-    print(f"training on {TRAIN} clean digits, {EPOCHS} epochs each:")
-    minsyn = train("minsyn_binary", train_imgs)
-    plain = train("learned_sigmoid", train_imgs)
+    cfgs = [load_config(CONFIG_DIR / f"{name}.json")
+            for name in ("digits_minsyn_binary", "digits_autoencoder")]
+    ds = cfgs[0].dataset
+    train_imgs, _ = synthetic_digits(ds["train"], seed=ds["seed"])
+    test_imgs, _ = synthetic_digits(ds["test"], seed=ds["seed"] + 1)
+    print(f"training on {ds['train']} clean digits, "
+          f"{cfgs[0].training['epochs']} epochs each:")
+    minsyn, plain = [train(cfg, train_imgs) for cfg in cfgs]
 
     print(f"\n{'corruption':<14} {'fixed-decoder':>14} {'standard AE':>12}")
     for kind in NOISE_KINDS:

@@ -19,9 +19,9 @@ The script prints, one fact per line:
 - the SHA-256 of every checkpoint array and of history.csv;
 - for MinSyn models, the SHA-256 of the moving-average readout's arrays;
 - for word models, the report losses (train and test, mse) and acc;
-- for digits models, the eval loss under every noise kind, on a seeded
-  set of synthetic digits written to and read back from an IDX file as
-  `minsyn eval` reads it, with the config's evaluation loss and noise seed.
+- for digits models, the eval loss (`EVAL_LOSS`) under every noise kind,
+  corrupted with `EVAL_NOISE_SEED`, on a seeded set of synthetic digits
+  written to and read back from an IDX file as `minsyn eval` reads it.
 
 Floats are printed with repr, so two checkouts whose output is identical
 train the same bytes and score them to the same floats.  Run from the
@@ -46,12 +46,14 @@ from minsyn.config import load_config
 from minsyn.idx import images_tensor, read_idx_file, write_idx_file
 from minsyn.metrics import acc_score, reconstruction_loss, reconstruction_losses
 from minsyn.nn import MINSYN_KINDS
-from minsyn.noise import apply_noise
+from minsyn.noise import NOISE_KINDS, apply_noise
 from minsyn.words import synthetic_digits
 
 ROOT = Path(__file__).resolve().parents[1]
 EVAL_IMAGES = 2000
 EVAL_IMAGE_SEED = 12
+EVAL_LOSS = "bce"
+EVAL_NOISE_SEED = 5
 SEEDED_PAIRS = 5
 GAUSSIAN_SYSTEMS = 50
 MIXED_JOINT_CELLS = 1 << 14
@@ -110,11 +112,10 @@ def digest(name: str, config_path: Path, eval_images: Path):
     else:
         images = read_idx_file(eval_images).reshaped()
         images = images.reshape(images.shape[0], -1)
-        loss_kind = cfg.evaluation["loss"] or "bce"
-        for kind in cfg.evaluation["noise_kinds"]:
-            corrupted = apply_noise(images, kind, seed=cfg.evaluation["noise_seed"])
-            value = reconstruction_loss(model, corrupted, loss_kind, target=images)
-            yield f"{name} eval {loss_kind} {kind} {value!r}"
+        for kind in NOISE_KINDS:
+            corrupted = apply_noise(images, kind, seed=EVAL_NOISE_SEED)
+            value = reconstruction_loss(model, corrupted, EVAL_LOSS, target=images)
+            yield f"{name} eval {EVAL_LOSS} {kind} {value!r}"
 
 
 def random_correlation(rng, size: int) -> np.ndarray:

@@ -97,23 +97,17 @@ def load_word_dataset(directory) -> tuple:
     return ds, manifest
 
 
-def load_experiment_data(cfg: ExperimentConfig) -> tuple:
-    """(train, test, manifest_or_None) image matrices for a config."""
+def load_experiment_data(cfg: ExperimentConfig) -> np.ndarray:
+    """The (N, n) training image matrix of a config."""
     ds = cfg.dataset
     if ds["kind"] == "words":
-        words, manifest = load_word_dataset(resolve_data_path(ds["dir"]))
-        return words.train_images, words.test_images, manifest
+        words, _ = load_word_dataset(resolve_data_path(ds["dir"]))
+        return words.train_images
     if ds["kind"] == "synthetic_digits":
         train, _ = synthetic_digits(ds["train"], seed=ds["seed"])
-        test, _ = synthetic_digits(ds["test"], seed=ds["seed"] + 1)
-        return train, test, None
+        return train
     train = read_idx_file(resolve_data_path(ds["train_images"])).reshaped()
-    train = train.reshape(train.shape[0], -1)
-    test = None
-    if "test_images" in ds:
-        test = read_idx_file(resolve_data_path(ds["test_images"])).reshaped()
-        test = test.reshape(test.shape[0], -1)
-    return train, test, None
+    return train.reshape(train.shape[0], -1)
 
 
 # ---------------------------------------------------------------- commands
@@ -161,7 +155,7 @@ def _history_csv(history) -> str:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    train, _, _ = load_experiment_data(cfg)
+    train = load_experiment_data(cfg)
     if cfg.is_pca:
         components, mean = pca_fit(train, cfg.latents)
         model = PcaModel(components=components, mean=mean)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .nn import DECODER_KINDS, ACTIVATIONS, REGULARIZER_KINDS, Regularizer, TrainConfig
-from .noise import NOISE_KINDS
 
 DATA_DIR_ENV = "MINSYN_DATA_DIR"
 
@@ -103,7 +102,6 @@ class ExperimentConfig:
     encoder_spec: tuple | None
     decoder_kind: str | None
     training: dict | None
-    evaluation: dict
     output_dir: Path
 
     @property
@@ -118,8 +116,7 @@ class ExperimentConfig:
                            seed=t["seed"], lr=t["lr"],
                            decoder_kind=self.decoder_kind,
                            encoder_spec=self.encoder_spec,
-                           regularizer=t["regularizer"],
-                           momentum=t.get("momentum", 0.99))
+                           regularizer=t["regularizer"])
 
 
 def _dataset_section(section, path) -> dict:
@@ -135,8 +132,7 @@ def _dataset_section(section, path) -> dict:
             "seed": _typed(int)})}
     if kind == "idx":
         return {"kind": "idx", **_require_keys(section, path, {
-            "kind": _choice(("idx",)), "train_images": _typed(str)},
-            {"test_images": _typed(str)})}
+            "kind": _choice(("idx",)), "train_images": _typed(str)})}
     raise ConfigError(f"{path}.kind: must be one of {list(DATASET_KINDS)}")
 
 
@@ -148,7 +144,6 @@ def parse_config(document: dict) -> ExperimentConfig:
         "output_dir": _typed(str, lambda s: len(s) > 0),
     }, {
         "training": lambda v, p: v,
-        "evaluation": lambda v, p: v,
     })
 
     model = document["model"]
@@ -185,20 +180,10 @@ def parse_config(document: dict) -> ExperimentConfig:
             "seed": _typed(int),
         }, {
             "regularizer": _regularizer,
-            "momentum": _typed(float, lambda v: 0.0 < v < 1.0),
         })
         training.setdefault("regularizer", Regularizer())
     elif kind == "autoencoder":
         raise ConfigError("config.training: required for autoencoder models")
-
-    evaluation = {"noise_kinds": list(NOISE_KINDS), "loss": None, "noise_seed": 0}
-    if "evaluation" in document:
-        ev = _require_keys(document["evaluation"], "config.evaluation", {}, {
-            "noise_kinds": lambda v, p: _noise_list(v, p),
-            "loss": _choice(("bce", "mse")),
-            "noise_seed": _typed(int),
-        })
-        evaluation.update(ev)
 
     return ExperimentConfig(
         raw=document,
@@ -209,18 +194,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         encoder_spec=encoder_spec,
         decoder_kind=decoder_kind,
         training=training,
-        evaluation=evaluation,
         output_dir=Path(document["output_dir"]),
     )
-
-
-def _noise_list(v, path):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    for item in v:
-        if item not in NOISE_KINDS:
-            raise ConfigError(f"{path}: unknown noise kind {item!r}")
-    return list(v)
 
 
 def load_config(path) -> ExperimentConfig:

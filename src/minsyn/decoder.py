@@ -5,12 +5,12 @@ outputs X_i and latents Z_j: the Gaussian variant applies the
 conditionally-independent posterior weights row by row, the binary variant
 is the naive-Bayes log-odds readout.  Statistics are accumulated as raw
 moments so they can be blended across batches with a moving average.  The
-statistics objects are immutable, so the derived quantities (correlations,
-conditionals) and the readout built from them are computed once per object,
-on first use, and cached on it as read-only arrays.  Each (n, m) table is
-built block by block of output rows, so the temporaries of one block stay
-in cache; every row depends only on its own statistics, so the result is
-the same bytes as one whole-array pass.
+statistics objects are immutable, so the readout built from them is
+computed once per object, on first use, and cached on it as read-only
+arrays.  The correlations and conditionals behind a readout are built
+block by block of output rows, so the temporaries of one block stay in
+cache; every row depends only on its own statistics, so the result is the
+same bytes as one whole-array pass.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class GaussianStats:
     """Raw first/second moments of a batch of outputs x and latents z.
 
-    Derived views: per-variable standard deviations (floored at 1e-6) and the
-    n x m correlation matrix rho (clamped to +-(1 - 1e-4)).  They and
-    ``readout`` are built on first access and cached, read-only; the raw
-    moments must not be changed in place.
+    Derived views: per-variable standard deviations (floored at 1e-6) and,
+    row by row, the correlations rho (clamped to +-(1 - 1e-4)).  The
+    standard deviations and ``readout`` are built on first access and cached,
+    read-only; the raw moments must not be changed in place.
     """
 
     x_mean: np.ndarray
@@ -113,11 +113,6 @@ class GaussianStats:
         r = cov / np.outer(self.x_std[rows], self.z_std)
         return np.clip(r, -(1.0 - EPS), 1.0 - EPS)
 
-    @cached_property
-    def rho(self) -> np.ndarray:
-        (r,) = _stack_row_blocks(self.n, self.m, lambda rows: (self._rho_rows(rows),))
-        return _frozen(r)
-
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights, variance) of the outputs in ``rows``."""
         r = self._rho_rows(rows)
@@ -152,14 +147,14 @@ class GaussianStats:
 class BinaryStats:
     """Raw Bernoulli moments E[x], E[z], E[x z] of a batch in [0, 1].
 
-    Derived views give p(X_i = 1) and the conditional tables
+    Derived views give p(X_i = 1) and, row by row, the conditionals
     p(Z_j = 1 | X_i = 1/0), everything clamped into [1e-4, 1 - 1e-4].
     An output with (almost) no mass on one side, E[x_i] outside
     [1e-4, 1 - 1e-4], gives the latents nothing to condition on; both its
     conditionals then fall back to the latent marginals, so such an output
-    draws zero evidence weight instead of a clamp artifact.  The derived
-    views and ``readout`` are built on first access and cached, read-only;
-    the raw moments must not be changed in place.
+    draws zero evidence weight instead of a clamp artifact.  p(X_i = 1) and
+    ``readout`` are built on first access and cached, read-only; the raw
+    moments must not be changed in place.
     """
 
     x_mean: np.ndarray
@@ -196,19 +191,6 @@ class BinaryStats:
             cond = (self.z_mean[None, :] - self.xz_mean[rows]) / (1.0 - self.px1[rows])[:, None]
         cond = np.where(self._supported[rows, None], cond, self.z_mean[None, :])
         return np.clip(cond, EPS, 1.0 - EPS)
-
-    def _conditional_table(self, given_x1: bool) -> np.ndarray:
-        (table,) = _stack_row_blocks(
-            self.n, self.m, lambda rows: (self._conditional_rows(rows, given_x1),))
-        return _frozen(table)
-
-    @cached_property
-    def pz1_given_x1(self) -> np.ndarray:
-        return self._conditional_table(True)
-
-    @cached_property
-    def pz1_given_x0(self) -> np.ndarray:
-        return self._conditional_table(False)
 
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights, summed evidence of the latents being 0) of the outputs

@@ -136,6 +136,8 @@ class DiscreteJoint:
     def marginal(self, axes) -> np.ndarray:
         """Marginal over the given axes (latents by index, target = m)."""
         keep = sorted(set(axes))
+        if any(a < 0 or a > self.x_axis for a in keep):
+            raise ValueError(f"axis out of range for axes 0..{self.x_axis}")
         drop = tuple(a for a in range(self.probs.ndim) if a not in keep)
         return self.probs.sum(axis=drop)
 

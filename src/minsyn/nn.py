@@ -227,7 +227,7 @@ class AutoencoderModel:
 
 
 def build_autoencoder(input_dim: int, encoder_spec, decoder_kind: str,
-                      seed: int = 0, momentum: float = 0.99) -> AutoencoderModel:
+                      seed: int = 0) -> AutoencoderModel:
     """Construct a seeded model from an encoder spec [(units, activation), ...]."""
     rng = np.random.default_rng(seed)
     layers = []
@@ -238,7 +238,7 @@ def build_autoencoder(input_dim: int, encoder_spec, decoder_kind: str,
     decoder = None
     ma = None
     if decoder_kind in MINSYN_KINDS:
-        ma = MovingAverageState(stats=None, momentum=momentum)
+        ma = MovingAverageState(stats=None)
     else:
         activation = "sigmoid" if decoder_kind == "learned_sigmoid" else "identity"
         decoder = init_dense_layer(rng, fan_in, input_dim, activation)
@@ -329,14 +329,12 @@ def _encode(model, x_input, mode, regularizer, rng) -> tuple:
     return pre, post, z_pre, z, dropout_mask
 
 
-def _decode(model, x_target, z, mode, fixed_params=None):
-    """Returns (xbar, decoder_pre, params_or_None, stats_or_None)."""
+def _decode(model, x_target, z, mode):
+    """Returns (xbar, decoder_pre, stats_or_None)."""
     kind = model.decoder_kind
     if kind in MINSYN_KINDS:
         stats = None
-        if fixed_params is not None:
-            params = fixed_params
-        elif mode == "train":
+        if mode == "train":
             if kind == "minsyn_binary":
                 stats = clipped_binary_batch_stats(x_target, z)
                 params = binary_decoder_params(stats)
@@ -347,14 +345,14 @@ def _decode(model, x_target, z, mode, fixed_params=None):
             params = model.decoder_params_from_average()
         a = params.linear(z)
         if kind == "minsyn_binary":
-            return sigmoid(a), a, params, stats
-        return a, None, params, stats
+            return sigmoid(a), a, stats
+        return a, None, stats
     a = z @ model.decoder.weights.T + model.decoder.bias
     xbar = _activate(model.decoder.activation, a)
-    return xbar, a, None, None
+    return xbar, a, None
 
 
-def _forward_cached(model, x, mode, regularizer, rng, fixed_params=None) -> ForwardCache:
+def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape} does not match input dim {model.input_dim}")
@@ -366,7 +364,7 @@ def _forward_cached(model, x, mode, regularizer, rng, fixed_params=None) -> Forw
     if mode == "train" and regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
         x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
     pre, post, z_pre, z, mask = _encode(model, x_input, mode, regularizer, rng)
-    xbar, dec_pre, _, stats = _decode(model, x, z, mode, fixed_params)
+    xbar, dec_pre, stats = _decode(model, x, z, mode)
     return ForwardCache(x_input=x_input, pre=pre, post=post, z_pre=z_pre, z=z,
                         dropout_mask=mask, decoder_pre=dec_pre, xbar=xbar,
                         batch_stats=stats)
@@ -385,18 +383,6 @@ def forward(model: AutoencoderModel, x, mode: str = "eval",
     return cache.z, cache.xbar
 
 
-def evaluate_loss(model: AutoencoderModel, x, mode: str = "eval",
-                  rng: np.random.Generator | None = None,
-                  regularizer: Regularizer = NO_REGULARIZER,
-                  fixed_decoder_params: DecoderParams | None = None) -> float:
-    """Loss of one forward pass; reconstruction is always scored against the
-    clean input.  ``fixed_decoder_params`` pins a minsyn decoder so the loss
-    is a pure function of the network parameters (used by gradient checks)."""
-    x = np.asarray(x, dtype=float)
-    cache = _forward_cached(model, x, mode, regularizer, rng, fixed_decoder_params)
-    return loss(x, cache.xbar, model.loss_kind)
-
-
 def _loss_grad_wrt_xbar(x, xbar, kind) -> np.ndarray:
     b = x.shape[0]
     if kind == "mse":
@@ -408,8 +394,7 @@ def _loss_grad_wrt_xbar(x, xbar, kind) -> np.ndarray:
 
 
 def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None,
-              regularizer: Regularizer = NO_REGULARIZER,
-              fixed_decoder_params: DecoderParams | None = None):
+              regularizer: Regularizer = NO_REGULARIZER):
     """Loss and exact parameter gradients for one training batch.
 
     Returns (loss_value, grads keyed like model.parameters(), batch_stats).
@@ -420,7 +405,7 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     x = np.asarray(x, dtype=float)
     if model.loss_kind == "bce":
         _check_bce_operand("x", x)
-    cache = _forward_cached(model, x, "train", regularizer, rng, fixed_decoder_params)
+    cache = _forward_cached(model, x, "train", regularizer, rng)
     # Only x is checked: the reconstruction of a bce model is a sigmoid
     # output, in [0, 1] by construction.
     loss_value = float(_sample_losses(x, cache.xbar, model.loss_kind).mean())
@@ -429,15 +414,11 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     d_xbar = _loss_grad_wrt_xbar(x, cache.xbar, model.loss_kind)
     kind = model.decoder_kind
     if kind in MINSYN_KINDS:
-        if fixed_decoder_params is not None:
-            params = fixed_decoder_params
-        elif kind == "minsyn_binary":
-            params = binary_decoder_params(cache.batch_stats)
-        else:
-            params = gaussian_decoder_params(cache.batch_stats)
         if kind == "minsyn_binary":
+            params = binary_decoder_params(cache.batch_stats)
             d_pre = d_xbar * cache.xbar * (1.0 - cache.xbar)
         else:
+            params = gaussian_decoder_params(cache.batch_stats)
             d_pre = d_xbar
         d_z = d_pre @ params.weights
     else:
@@ -510,7 +491,6 @@ class TrainConfig:
     decoder_kind: str
     encoder_spec: tuple  # ((units, activation), ...)
     regularizer: Regularizer = NO_REGULARIZER
-    momentum: float = 0.99
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 2:
@@ -540,8 +520,7 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
         raise ValueError("data must be a non-empty (N, n) matrix")
     n_samples = data.shape[0]
     model = build_autoencoder(data.shape[1], config.encoder_spec,
-                              config.decoder_kind, seed=config.seed,
-                              momentum=config.momentum)
+                              config.decoder_kind, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     opt = AdamState(lr=config.lr)
     params = model.parameters()

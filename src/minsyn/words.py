@@ -101,10 +101,6 @@ class WordDataset:
     def num_slots(self) -> int:
         return len(self.letters_by_position)
 
-    @property
-    def pixels(self) -> int:
-        return self.char_layout.size
-
 
 def char_layout(word_len: int = WORD_LEN, side: int = GLYPH_SIDE) -> np.ndarray:
     """Slot index of every pixel of a row-major (side, side*word_len) raster."""

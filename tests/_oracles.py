@@ -3,12 +3,16 @@
 Everything here deliberately avoids the library's own computation paths:
 quadrature and Monte-Carlo for the Gaussian quantities, literal loops over
 configurations for the discrete ones, finite differences for gradients.
+The one exception is the loss those differences are taken of, which runs
+the library's own encoder with the decoder readout pinned.
 """
 
 import itertools
 
 import numpy as np
 from scipy import integrate
+
+from minsyn import nn
 
 
 def mi_quadrature_bivariate(rho: float) -> float:
@@ -219,6 +223,30 @@ def finite_difference_gradients(loss_of_params, params: dict, h: float = 1e-5):
             it.iternext()
         grads[name] = g
     return grads
+
+
+def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
+    """Training loss of one forward pass with a MinSyn decoder pinned to
+    ``readout``, so the loss is a function of the network parameters alone.
+
+    For MinSyn kinds the latents come from ``nn._encode``, after the input
+    noise is drawn first as a training step draws it, and are read out
+    through ``readout.linear`` (then a sigmoid for the binary decoder).
+    Learned kinds run ``nn.forward`` in train mode and pass no readout.
+    The reconstruction is scored against the clean input.
+    """
+    x = np.asarray(x, dtype=float)
+    if readout is None:
+        _, xbar = nn.forward(model, x, mode="train", rng=rng, regularizer=regularizer)
+    else:
+        x_input = x
+        if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
+            x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
+        _, _, _, z, _ = nn._encode(model, x_input, "train", regularizer, rng)
+        xbar = readout.linear(z)
+        if model.decoder_kind == "minsyn_binary":
+            xbar = nn.sigmoid(xbar)
+    return nn.loss(x, xbar, model.loss_kind)
 
 
 def pca_directions_eigh(data: np.ndarray, k: int) -> np.ndarray:

@@ -15,8 +15,7 @@ import pytest
 from minsyn.checkpoint import load_checkpoint, restore_model
 from minsyn.cli import main as minsyn_cli
 from minsyn.config import parse_config
-from minsyn.decoder import (BinaryStats, binary_batch_stats, binary_decoder_params,
-                            gaussian_decoder_params)
+from minsyn.decoder import BinaryStats, binary_decoder_params
 from minsyn.discrete import (DiscreteJoint, discrete_ci_synergy,
                              discrete_wms_synergy, mutual_information,
                              total_correlation)
@@ -24,14 +23,15 @@ from minsyn.gaussian import (GaussianSystem, feasible_sigma12_range,
                              gaussian_ci_posterior, gk_minimizing_covariance,
                              gk_synergy)
 from minsyn.idx import parse_idx, write_idx
-from minsyn.metrics import acc_score, reconstruction_losses
+from minsyn.metrics import acc_score
 from minsyn.nn import (DECODER_KINDS, MINSYN_KINDS, Regularizer, build_autoencoder,
-                       evaluate_loss, forward, gradients, sigmoid)
+                       forward, gradients, sigmoid)
 from minsyn.nn import loss as loss_fn
 from minsyn.noise import apply_noise
 
 from _oracles import (bayes_posterior_binary, ci_posterior_numeric,
-                      finite_difference_gradients, grid_min_explained_variance)
+                      finite_difference_gradients, grid_min_explained_variance,
+                      pinned_readout_loss)
 
 LN2 = np.log(2.0)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -153,19 +153,13 @@ def test_criterion_5_gradient_suite():
         spec = [(hidden, "softplus"), (int(rng.integers(2, 5)), "sigmoid")]
         model = build_autoencoder(n_in, spec, decoder_kind, seed=trial)
         x = rng.random((5, n_in))
-        fixed = None
-        if decoder_kind in MINSYN_KINDS:
-            _, _, stats = gradients(model, x, rng=np.random.default_rng(trial),
+        _, grads, stats = gradients(model, x, rng=np.random.default_rng(trial),
                                     regularizer=reg)
-            fixed = (binary_decoder_params(stats) if decoder_kind == "minsyn_binary"
-                     else gaussian_decoder_params(stats))
-        _, grads, _ = gradients(model, x, rng=np.random.default_rng(trial),
-                                regularizer=reg, fixed_decoder_params=fixed)
+        readout = stats.readout if decoder_kind in MINSYN_KINDS else None
 
         def loss_of_params():
-            return evaluate_loss(model, x, mode="train",
-                                 rng=np.random.default_rng(trial),
-                                 regularizer=reg, fixed_decoder_params=fixed)
+            return pinned_readout_loss(model, x, np.random.default_rng(trial), reg,
+                                       readout)
 
         fd = finite_difference_gradients(loss_of_params, model.parameters())
         for name, g in grads.items():

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import minsyn
-from minsyn.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from minsyn.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from minsyn.cli import main
+from minsyn.config import parse_config
 from minsyn.gaussian import GaussianSystem, gk_synergy
-from minsyn.idx import labels_tensor, write_idx, write_idx_file, images_tensor
-from minsyn.nn import build_autoencoder
+from minsyn.idx import write_idx_file, images_tensor
+from minsyn.nn import build_autoencoder, train_autoencoder
 from minsyn.svg import line_plot_svg
-from minsyn.words import builtin_glyph
+from minsyn.words import builtin_glyph, synthetic_digits
 
 from _oracles import synergy_curve_grid, synergy_curve_rows
 
@@ -141,6 +142,23 @@ class TestTrain:
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(cfg_path)]) == 4
 
+    def test_idx_config_trains_on_its_images(self, tmp_path, monkeypatch):
+        images, _ = synthetic_digits(20, seed=3)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        write_idx_file(data_dir / "train_images.idx", images_tensor(images))
+        monkeypatch.setenv("MINSYN_DATA_DIR", str(data_dir))
+        doc = digits_config(tmp_path, name="idx_run", epochs=2)
+        doc["dataset"] = {"kind": "idx", "train_images": "train_images.idx"}
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = load_checkpoint(Path(doc["output_dir"]) / "checkpoint.msck")
+        expected, _ = model_arrays(
+            *train_autoencoder(parse_config(doc).train_config(), images))
+        assert ckpt.arrays.keys() == expected.keys()
+        for key, array in expected.items():
+            assert ckpt.arrays[key].tobytes() == array.tobytes(), key
+
     def test_words_training_smoke(self, tmp_path, word_data_dir):
         doc = {
             "name": "words_smoke",
@@ -178,14 +196,12 @@ class TestEval:
         model.encoder[0].bias[:] = 0.0
         model.decoder.weights[:] = np.eye(n)
         model.decoder.bias[:] = 0.0
-        from minsyn.checkpoint import model_arrays
         arrays, meta = model_arrays(model, [0.0])
         path = tmp_path / "identity.msck"
         save_checkpoint(path, {"name": "identity"}, arrays, meta)
         return path
 
     def _digit_images(self, tmp_path, count=6):
-        from minsyn.words import synthetic_digits
         imgs, _ = synthetic_digits(count, seed=3)
         path = tmp_path / "digits.idx"
         write_idx_file(path, images_tensor(imgs))

@@ -88,11 +88,6 @@ class TestConfigSchema:
         del doc["training"]
         assert parse_config(doc).is_pca
 
-    def test_bad_noise_kind(self):
-        doc = cfg_dict(evaluation={"noise_kinds": ["sparkle"]})
-        with pytest.raises(ConfigError, match="sparkle"):
-            parse_config(doc)
-
     def test_bool_is_not_int(self):
         doc = cfg_dict()
         doc["training"]["epochs"] = True

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minsyn.discrete import (
-    AbsoluteContinuityError,
     DiscreteJoint,
     ci_decoder_distribution,
     discrete_ci_synergy,
@@ -73,6 +72,11 @@ class TestJointValidation:
     def test_rejects_too_many_latents(self):
         with pytest.raises(ValueError):
             DiscreteJoint(np.full((2,) * 14, 1.0 / 2 ** 14))
+
+    @pytest.mark.parametrize("axes", [[5], [-1], [0, 7], [3], [-1, 2]])
+    def test_marginal_rejects_axes_out_of_range(self, axes):
+        with pytest.raises(ValueError, match=r"out of range for axes 0\.\.2"):
+            DiscreteJoint.xor().marginal(axes)
 
     def test_text_round_trip(self):
         rng = np.random.default_rng(0)

@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-from minsyn.decoder import binary_decoder_params, gaussian_decoder_params
 from minsyn.nn import (
     BCE_CLAMP,
     DECODER_KINDS,
@@ -18,7 +17,6 @@ from minsyn.nn import (
     TrainingDivergedError,
     adam_step,
     build_autoencoder,
-    evaluate_loss,
     forward,
     gradients,
     loss,
@@ -35,6 +33,7 @@ from _oracles import (
     finite_difference_gradients,
     pca_directions_eigh,
     pca_reconstruction_mse,
+    pinned_readout_loss,
     sigmoid_two_branch,
 )
 
@@ -200,17 +199,11 @@ class TestGradients:
     def test_matches_finite_differences(self, decoder_kind, reg):
         model = small_model(decoder_kind)
         x = np.random.default_rng(11).random((6, 5))
-        fixed = None
-        if decoder_kind in MINSYN_KINDS:
-            _, _, stats = gradients(model, x, rng=np.random.default_rng(5), regularizer=reg)
-            fixed = (binary_decoder_params(stats) if decoder_kind == "minsyn_binary"
-                     else gaussian_decoder_params(stats))
-        _, grads, _ = gradients(model, x, rng=np.random.default_rng(5),
-                                regularizer=reg, fixed_decoder_params=fixed)
+        _, grads, stats = gradients(model, x, rng=np.random.default_rng(5), regularizer=reg)
+        readout = stats.readout if decoder_kind in MINSYN_KINDS else None
 
         def loss_fn():
-            return evaluate_loss(model, x, mode="train", rng=np.random.default_rng(5),
-                                 regularizer=reg, fixed_decoder_params=fixed)
+            return pinned_readout_loss(model, x, np.random.default_rng(5), reg, readout)
 
         fd = finite_difference_gradients(loss_fn, model.parameters())
         for name, g in grads.items():

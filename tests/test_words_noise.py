@@ -9,7 +9,6 @@ from minsyn.words import (
     build_word_dataset,
     builtin_glyph,
     builtin_glyphs,
-    char_layout,
     derive_letters_by_position,
     shift_image,
     synthetic_digits,
