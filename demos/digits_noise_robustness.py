@@ -27,8 +27,8 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def train(cfg, data):
-    model, history = train_autoencoder(cfg.train_config(), data)
-    print(f"  {cfg.decoder_kind}: cross entropy {history[0]:.1f} -> {history[-1]:.1f}")
+    model, history = train_autoencoder(cfg.train, data)
+    print(f"  {cfg.train.decoder_kind}: cross entropy {history[0]:.1f} -> {history[-1]:.1f}")
     return model
 
 
@@ -39,7 +39,7 @@ def main():
     train_imgs, _ = synthetic_digits(ds["train"], seed=ds["seed"])
     test_imgs, _ = synthetic_digits(ds["test"], seed=ds["seed"] + 1)
     print(f"training on {ds['train']} clean digits, "
-          f"{cfgs[0].training['epochs']} epochs each:")
+          f"{cfgs[0].train.epochs} epochs each:")
     minsyn, plain = [train(cfg, train_imgs) for cfg in cfgs]
 
     print(f"\n{'corruption':<14} {'fixed-decoder':>14} {'standard AE':>12}")

@@ -16,7 +16,8 @@ The script prints, one fact per line:
   `MAX_LATENTS`, drawn from --seed: one binary, one of mixed arities with
   zero cells; for joints of at most 8 latents, also the SHA-256 of
   `to_text()` and of the bytes of `from_text(to_text()).probs`;
-- the SHA-256 of every checkpoint array and of history.csv;
+- each checkpoint's `meta` as sorted JSON, the SHA-256 of every
+  checkpoint array and of history.csv;
 - for MinSyn models, the SHA-256 of the moving-average readout's arrays;
 - for word models, the report losses (train and test, mse) and acc;
 - for digits models, the eval loss (`EVAL_LOSS`) under every noise kind,
@@ -93,6 +94,7 @@ def digest(name: str, config_path: Path, eval_images: Path):
     cfg = load_config(config_path)
     run_dir = cfg.output_dir
     ckpt = load_checkpoint(run_dir / cli.CHECKPOINT_NAME)
+    yield f"{name} meta {json.dumps(ckpt.meta, sort_keys=True)}"
     for key, array in ckpt.arrays.items():
         yield f"{name} array {key} {array_sha(array)}"
     yield f"{name} history.csv {sha((run_dir / 'history.csv').read_bytes())}"

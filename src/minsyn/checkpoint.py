@@ -17,20 +17,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .decoder import BinaryStats, GaussianStats, MovingAverageState
-from .nn import DECODER_LOSS, AutoencoderModel, DenseLayer, MINSYN_KINDS, PcaModel
+from .decoder import MA_MOMENTUM, MovingAverageState
+from .nn import DECODER_OUTPUT, MINSYN_STATS, AutoencoderModel, DenseLayer, PcaModel
 
 MAGIC = b"MSYNCKPT"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
     version: int
     config: dict
@@ -64,8 +65,7 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     offset = 16 + hlen
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+        end = offset + 8 * math.prod(shape)
         if end > len(data):
             raise ValueError(f"checkpoint truncated in array {entry['name']!r}")
         arrays[entry["name"]] = np.frombuffer(
@@ -102,20 +102,25 @@ def model_arrays(model, history) -> tuple:
     for i, layer in enumerate(model.encoder):
         arrays[f"encoder.{i}.weights"] = layer.weights
         arrays[f"encoder.{i}.bias"] = layer.bias
+    meta.update(_kind_meta(model.decoder_kind))
     if model.decoder is not None:
-        meta["decoder_activation"] = model.decoder.activation
         arrays["decoder.weights"] = model.decoder.weights
         arrays["decoder.bias"] = model.decoder.bias
-    if model.decoder_kind in MINSYN_KINDS:
+    else:
         ma = model.ma_state
-        if ma is None or ma.step_count == 0:
+        if ma.step_count == 0:
             raise ValueError("refusing to checkpoint an untrained minsyn model")
-        meta["ma_momentum"] = ma.momentum
         meta["ma_step_count"] = ma.step_count
-        meta["ma_stats_kind"] = type(ma.stats).__name__
         for f in dataclasses.fields(ma.stats):
             arrays[f"ma.{f.name}"] = getattr(ma.stats, f.name)
     return arrays, meta
+
+
+def _kind_meta(kind: str) -> dict:
+    """The header entries that follow from the decoder kind alone."""
+    if kind in MINSYN_STATS:
+        return {"ma_momentum": MA_MOMENTUM, "ma_stats_kind": MINSYN_STATS[kind].__name__}
+    return {"decoder_activation": DECODER_OUTPUT[kind]}
 
 
 def restore_model(ckpt: Checkpoint):
@@ -129,17 +134,15 @@ def restore_model(ckpt: Checkpoint):
                                  bias=arrays[f"encoder.{i}.bias"],
                                  activation=activation))
     decoder_kind = meta["decoder_kind"]
-    decoder = None
-    ma = None
-    if decoder_kind in MINSYN_KINDS:
-        cls = GaussianStats if meta["ma_stats_kind"] == "GaussianStats" else BinaryStats
+    for key, value in _kind_meta(decoder_kind).items():
+        if meta.get(key) != value:
+            raise ValueError(f"checkpoint {key} {meta.get(key)!r} does not match "
+                             f"decoder {decoder_kind} ({value!r})")
+    if decoder_kind in MINSYN_STATS:
+        cls = MINSYN_STATS[decoder_kind]
         stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
-        ma = MovingAverageState(stats=stats, momentum=meta["ma_momentum"],
-                                step_count=int(meta["ma_step_count"]))
-    else:
-        decoder = DenseLayer(weights=arrays["decoder.weights"],
-                             bias=arrays["decoder.bias"],
-                             activation=meta["decoder_activation"])
-    return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind,
-                            decoder=decoder, ma_state=ma,
-                            loss_kind=DECODER_LOSS[decoder_kind])
+        ma = MovingAverageState(stats=stats, step_count=int(meta["ma_step_count"]))
+        return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)
+    decoder = DenseLayer(weights=arrays["decoder.weights"], bias=arrays["decoder.bias"],
+                         activation=DECODER_OUTPUT[decoder_kind])
+    return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, decoder=decoder)

@@ -75,6 +75,12 @@ def write_word_dataset(out_dir: Path, ds: WordDataset, glyph_source: str,
     return manifest
 
 
+def read_image_rows(path) -> np.ndarray:
+    """The images of an IDX file as an (N, pixels) matrix."""
+    images = read_idx_file(path).reshaped()
+    return images.reshape(images.shape[0], -1)
+
+
 def load_word_dataset(directory) -> tuple:
     """Read a built word dataset; returns (WordDataset, manifest dict)."""
     d = Path(directory)
@@ -82,12 +88,10 @@ def load_word_dataset(directory) -> tuple:
     if not manifest_path.exists():
         raise DataError(f"no {MANIFEST_NAME} under {d}")
     manifest = json.loads(manifest_path.read_text())
-    train = read_idx_file(d / "train_images.idx").reshaped()
-    test = read_idx_file(d / "test_images.idx").reshaped()
     grids = tuple(tuple(g) for g in manifest["letters_by_position"])
     ds = WordDataset(
-        train_images=train.reshape(train.shape[0], -1),
-        test_images=test.reshape(test.shape[0], -1),
+        train_images=read_image_rows(d / "train_images.idx"),
+        test_images=read_image_rows(d / "test_images.idx"),
         train_words=tuple(manifest["train_words"]),
         test_words=tuple(manifest["test_words"]),
         letters_by_position=grids,
@@ -98,16 +102,15 @@ def load_word_dataset(directory) -> tuple:
 
 
 def load_experiment_data(cfg: ExperimentConfig) -> np.ndarray:
-    """The (N, n) training image matrix of a config."""
+    """The (N, n) training image matrix of a config.  Of a word dataset
+    only the training images are read."""
     ds = cfg.dataset
-    if ds["kind"] == "words":
-        words, _ = load_word_dataset(resolve_data_path(ds["dir"]))
-        return words.train_images
     if ds["kind"] == "synthetic_digits":
         train, _ = synthetic_digits(ds["train"], seed=ds["seed"])
         return train
-    train = read_idx_file(resolve_data_path(ds["train_images"])).reshaped()
-    return train.reshape(train.shape[0], -1)
+    if ds["kind"] == "words":
+        return read_image_rows(resolve_data_path(ds["dir"]) / "train_images.idx")
+    return read_image_rows(resolve_data_path(ds["train_images"]))
 
 
 # ---------------------------------------------------------------- commands
@@ -156,12 +159,12 @@ def _history_csv(history) -> str:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     train = load_experiment_data(cfg)
-    if cfg.is_pca:
+    if cfg.train is None:
         components, mean = pca_fit(train, cfg.latents)
         model = PcaModel(components=components, mean=mean)
         history = []
     else:
-        model, history = train_autoencoder(cfg.train_config(), train)
+        model, history = train_autoencoder(cfg.train, train)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     arrays, meta = model_arrays(model, history)
@@ -176,8 +179,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
-    images = read_idx_file(args.images).reshaped()
-    images = images.reshape(images.shape[0], -1)
+    images = read_image_rows(args.images)
     kinds = args.noise or list(NOISE_KINDS)
     rows = ["noise,loss"]
     printable = []

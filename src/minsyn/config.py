@@ -92,31 +92,15 @@ def _encoder_spec(v, path):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated view of one experiment document plus its raw snapshot."""
+    """Validated view of one experiment document plus its raw snapshot;
+    ``train`` is None for PCA, which is fit directly."""
 
     raw: dict
     name: str
     dataset: dict
-    model_kind: str
     latents: int
-    encoder_spec: tuple | None
-    decoder_kind: str | None
-    training: dict | None
+    train: TrainConfig | None
     output_dir: Path
-
-    @property
-    def is_pca(self) -> bool:
-        return self.model_kind == "pca"
-
-    def train_config(self) -> TrainConfig:
-        if self.training is None:
-            raise ConfigError("this configuration has no training section")
-        t = self.training
-        return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
-                           seed=t["seed"], lr=t["lr"],
-                           decoder_kind=self.decoder_kind,
-                           encoder_spec=self.encoder_spec,
-                           regularizer=t["regularizer"])
 
 
 def _dataset_section(section, path) -> dict:
@@ -152,24 +136,20 @@ def parse_config(document: dict) -> ExperimentConfig:
         m = _require_keys(model, "config.model", {
             "kind": _choice(("pca",)),
             "latents": _typed(int, lambda v: v >= 1)})
-        encoder_spec = None
-        decoder_kind = None
     elif kind == "autoencoder":
         m = _require_keys(model, "config.model", {
             "kind": _choice(("autoencoder",)),
             "latents": _typed(int, lambda v: v >= 1),
             "encoder": _encoder_spec,
             "decoder_kind": _choice(DECODER_KINDS)})
-        encoder_spec = m["encoder"]
-        decoder_kind = m["decoder_kind"]
-        if encoder_spec[-1][0] != m["latents"]:
+        if m["encoder"][-1][0] != m["latents"]:
             raise ConfigError(
                 "config.model: last encoder layer must have 'latents' units "
-                f"({encoder_spec[-1][0]} != {m['latents']})")
+                f"({m['encoder'][-1][0]} != {m['latents']})")
     else:
         raise ConfigError(f"config.model.kind: must be one of {list(MODEL_KINDS)}")
 
-    training = None
+    train = None
     if "training" in document:
         if kind == "pca":
             raise ConfigError("config.training: PCA models are fit directly, drop this section")
@@ -181,7 +161,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         }, {
             "regularizer": _regularizer,
         })
-        training.setdefault("regularizer", Regularizer())
+        train = TrainConfig(decoder_kind=m["decoder_kind"], encoder_spec=m["encoder"],
+                            **training)
     elif kind == "autoencoder":
         raise ConfigError("config.training: required for autoencoder models")
 
@@ -189,11 +170,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         raw=document,
         name=document["name"],
         dataset=top["dataset"],
-        model_kind=kind,
         latents=model["latents"],
-        encoder_spec=encoder_spec,
-        decoder_kind=decoder_kind,
-        training=training,
+        train=train,
         output_dir=Path(document["output_dir"]),
     )
 

@@ -21,8 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .gaussian import ci_weights
+
 EPS = 1e-4
 STD_FLOOR = 1e-6
+# Weight of the running value in each moving-average update.
+MA_MOMENTUM = 0.99
 
 # Working-set budget of one block of rows: 2 MiB, the per-core L2 cache of
 # the reference machine.  Arrays that outgrow it are processed block by block.
@@ -64,7 +68,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianStats:
     """Raw first/second moments of a batch of outputs x and latents z.
 
@@ -115,14 +119,7 @@ class GaussianStats:
 
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights, variance) of the outputs in ``rows``."""
-        r = self._rho_rows(rows)
-        r2 = r ** 2
-        one_minus_r2 = 1.0 - r2
-        # R_i = sum_j r2 / (1 - r2) and u = r / (1 - r2) / (1 + R_i), finished
-        # in place in the buffers of r2 and r.
-        one_plus_big_r = 1.0 + np.divide(r2, one_minus_r2, out=r2).sum(axis=1)
-        weights = np.divide(r, one_minus_r2, out=r)
-        weights /= one_plus_big_r[:, None]
+        weights, one_plus_big_r = ci_weights(self._rho_rows(rows))
         weights *= np.outer(self.x_std[rows], 1.0 / self.z_std)
         variance = self.x_std[rows] ** 2 / one_plus_big_r
         return weights, variance
@@ -143,7 +140,7 @@ class GaussianStats:
                              variance=_frozen(variance))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryStats:
     """Raw Bernoulli moments E[x], E[z], E[x z] of a batch in [0, 1].
 
@@ -223,7 +220,7 @@ class BinaryStats:
         return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderParams:
     """Affine readout of the latents: one row of weights and a bias per output.
 
@@ -322,16 +319,13 @@ class MovingAverageState:
     """Exponential moving average over raw batch statistics.
 
     The first update copies the batch outright; afterwards each raw-moment
-    field follows running <- momentum * running + (1 - momentum) * batch.
+    field follows running <- MA_MOMENTUM * running + (1 - MA_MOMENTUM) * batch.
     """
 
     stats: GaussianStats | BinaryStats | None
-    momentum: float = 0.99
     step_count: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.momentum < 1.0):
-            raise ValueError("momentum must lie in (0, 1)")
         if self.step_count < 0:
             raise ValueError("step_count must be >= 0")
         if self.step_count > 0 and self.stats is None:
@@ -347,14 +341,14 @@ def update_moving_average(state: MovingAverageState, batch) -> MovingAverageStat
     never averaged themselves, and no cached readout can go stale.
     """
     if state.step_count == 0 or state.stats is None:
-        return MovingAverageState(stats=batch, momentum=state.momentum, step_count=1)
+        return MovingAverageState(stats=batch, step_count=1)
     running = state.stats
     if type(running) is not type(batch):
         raise ValueError(
             f"statistics type mismatch: running {type(running).__name__}, "
             f"batch {type(batch).__name__}"
         )
-    mu = state.momentum
+    mu = MA_MOMENTUM
     blended = {}
     for f in dataclasses.fields(running):
         old = getattr(running, f.name)
@@ -363,7 +357,4 @@ def update_moving_average(state: MovingAverageState, batch) -> MovingAverageStat
             raise ValueError(f"shape mismatch on {f.name}: {old.shape} vs {new.shape}")
         blended[f.name] = mu * old + (1.0 - mu) * new
     return MovingAverageState(
-        stats=type(running)(**blended),
-        momentum=state.momentum,
-        step_count=state.step_count + 1,
-    )
+        stats=type(running)(**blended), step_count=state.step_count + 1)

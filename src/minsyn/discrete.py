@@ -69,7 +69,7 @@ def _table_mi(p_gx: np.ndarray) -> float:
     return _group_mi(p_gx, p_gx.sum(axis=-1), p_gx.sum(axis=tuple(range(p_gx.ndim - 1))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Dense joint distribution over m latents Z_1..Z_m and one target X.
 
@@ -244,7 +244,7 @@ def total_correlation(joint: DiscreteJoint) -> float:
     return max(0.0, singles - _entropy(pz.ravel()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CiDecoderTable:
     """Factorized-model posterior p_ci(x | z) for every z configuration.
 

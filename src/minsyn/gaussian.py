@@ -131,7 +131,7 @@ def _solve_stack(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     return beta, [float(r @ b) for r, b in zip(rho, beta)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSystem:
     """Standardized Gaussian system: target correlations and latent covariance.
 
@@ -187,7 +187,7 @@ class GaussianSystem:
                    np.array([[1.0, sigma12], [sigma12, 1.0]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CiPosterior:
     """Gaussian posterior of X given z under a conditionally independent
     encoding: mean = weights . z, fixed variance."""
@@ -323,11 +323,19 @@ def gaussian_ci_posterior(rho) -> CiPosterior:
     r = np.atleast_1d(np.asarray(rho, dtype=float))
     if r.ndim != 1 or r.size == 0:
         raise ValueError("rho must be a non-empty 1-D vector")
-    r = np.clip(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP)
-    prec = r ** 2 / (1.0 - r ** 2)
-    big_r = float(prec.sum())
-    weights = (r / (1.0 - r ** 2)) / (1.0 + big_r)
-    return CiPosterior(weights=weights, variance=1.0 / (1.0 + big_r))
+    weights, one_plus_big_r = ci_weights(np.clip(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP))
+    return CiPosterior(weights=weights, variance=float(1.0 / one_plus_big_r))
+
+
+def ci_weights(r: np.ndarray) -> tuple:
+    """(weights, 1 + R) of ``gaussian_ci_posterior`` along the last axis of
+    the clamped correlations ``r``, finished in place in r's buffer."""
+    r2 = r ** 2
+    one_minus_r2 = 1.0 - r2
+    one_plus_big_r = 1.0 + np.divide(r2, one_minus_r2, out=r2).sum(axis=-1)
+    weights = np.divide(r, one_minus_r2, out=r)
+    weights /= one_plus_big_r[..., None]
+    return weights, one_plus_big_r
 
 
 def gaussian_ci_synergy(sys: GaussianSystem) -> float:

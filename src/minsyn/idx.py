@@ -15,6 +15,7 @@ values exceed 255, e.g. word indices; kept raw).
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,7 @@ class IdxParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdxTensor:
     """Parsed IDX tensor: sizes plus a flat row-major float array.
 
@@ -54,7 +55,7 @@ class IdxTensor:
         dims = tuple(int(x) for x in self.dims)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", d)
-        if int(np.prod(dims)) != d.size:
+        if math.prod(dims) != d.size:
             raise ValueError(f"dims {dims} do not match {d.size} values")
         if self.dtype_code not in _ITEMSIZE:
             raise ValueError(f"unsupported dtype code {self.dtype_code:#x}")
@@ -82,7 +83,7 @@ def parse_idx(payload: bytes) -> IdxTensor:
     if len(payload) < header_end:
         raise IdxParseError("truncated header: missing dimension sizes", len(payload))
     dims = struct.unpack(f">{ndim}I", payload[4:header_end])
-    count = int(np.prod(dims)) if dims else 0
+    count = math.prod(dims)
     expected = header_end + count * _ITEMSIZE[dtype_code]
     if len(payload) < expected:
         raise IdxParseError(

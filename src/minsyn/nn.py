@@ -28,17 +28,24 @@ from .decoder import (
 
 log = logging.getLogger(__name__)
 
-ACTIVATIONS = ("identity", "sigmoid", "softplus")
-# The loss each decoder kind trains and is scored with: cross entropy for the
-# sigmoid-output decoders, squared error for the linear ones.
-DECODER_LOSS = {"learned_sigmoid": "bce", "learned_linear": "mse",
-                "minsyn_binary": "bce", "minsyn_gaussian": "mse"}
-DECODER_KINDS = tuple(DECODER_LOSS)
-MINSYN_KINDS = ("minsyn_binary", "minsyn_gaussian")
+# The output activation of each decoder kind, and from it the loss the kind
+# trains and is scored with: cross entropy for the sigmoid outputs, squared
+# error for the linear ones.
+DECODER_OUTPUT = {"learned_sigmoid": "sigmoid", "learned_linear": "identity",
+                  "minsyn_binary": "sigmoid", "minsyn_gaussian": "identity"}
+DECODER_LOSS = {kind: "bce" if out == "sigmoid" else "mse"
+                for kind, out in DECODER_OUTPUT.items()}
+DECODER_KINDS = tuple(DECODER_OUTPUT)
+# The statistics each MinSyn decoder is read out from.
+MINSYN_STATS = {"minsyn_binary": BinaryStats, "minsyn_gaussian": GaussianStats}
+MINSYN_KINDS = tuple(MINSYN_STATS)
 LOSS_KINDS = ("bce", "mse")
 REGULARIZER_KINDS = ("none", "dropout", "input_gaussian_noise", "latent_gaussian_noise")
 
 BCE_CLAMP = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -69,25 +76,14 @@ def softplus(v: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, v)
 
 
-def _activate(name: str, a: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return a
-    if name == "sigmoid":
-        return sigmoid(a)
-    if name == "softplus":
-        return softplus(a)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activate_grad(name: str, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d y / d a given pre-activation a and output y."""
-    if name == "identity":
-        return np.ones_like(a)
-    if name == "sigmoid":
-        return y * (1.0 - y)
-    if name == "softplus":
-        return sigmoid(a)
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (activation of the pre-activation a, d y / d a given a and the
+# output y).
+_ACTIVATIONS = {
+    "identity": (lambda a: a, lambda a, y: 1.0),
+    "sigmoid": (sigmoid, lambda a, y: y * (1.0 - y)),
+    "softplus": (softplus, lambda a, y: sigmoid(a)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 @dataclass
@@ -156,7 +152,6 @@ class AutoencoderModel:
     decoder_kind: str
     decoder: DenseLayer | None = None  # learned kinds only
     ma_state: MovingAverageState | None = None  # minsyn kinds only
-    loss_kind: str = "bce"
 
     def __post_init__(self):
         if not self.encoder:
@@ -166,12 +161,6 @@ class AutoencoderModel:
                 raise ValueError("encoder layer shapes do not chain")
         if self.decoder_kind not in DECODER_KINDS:
             raise ValueError(f"decoder_kind must be one of {DECODER_KINDS}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-        if self.loss_kind != DECODER_LOSS[self.decoder_kind]:
-            raise ValueError(
-                f"decoder {self.decoder_kind} pairs with {DECODER_LOSS[self.decoder_kind]} loss"
-            )
         if self.decoder_kind in MINSYN_KINDS:
             if self.decoder is not None:
                 raise ValueError("minsyn decoders carry no learned layer")
@@ -182,6 +171,13 @@ class AutoencoderModel:
                 raise ValueError("learned decoder kinds need a decoder layer")
             if self.decoder.fan_in != self.latent_dim:
                 raise ValueError("decoder input does not match the latent size")
+            if self.decoder.activation != DECODER_OUTPUT[self.decoder_kind]:
+                raise ValueError(f"decoder {self.decoder_kind} needs a "
+                                 f"{DECODER_OUTPUT[self.decoder_kind]} output layer")
+
+    @property
+    def loss_kind(self) -> str:
+        return DECODER_LOSS[self.decoder_kind]
 
     @property
     def input_dim(self) -> int:
@@ -207,10 +203,7 @@ class AutoencoderModel:
             raise ValueError("only minsyn decoders derive parameters from statistics")
         if self.ma_state is None or self.ma_state.step_count == 0:
             raise ValueError("no statistics accumulated yet: train before evaluating")
-        stats = self.ma_state.stats
-        if self.decoder_kind == "minsyn_binary":
-            return binary_decoder_params(stats)
-        return gaussian_decoder_params(stats)
+        return _readout(self.ma_state.stats)
 
     def decoder_weight_matrix(self) -> np.ndarray:
         """(n, m) readout weights, for concentration metrics and reports.
@@ -235,16 +228,19 @@ def build_autoencoder(input_dim: int, encoder_spec, decoder_kind: str,
     for units, activation in encoder_spec:
         layers.append(init_dense_layer(rng, fan_in, int(units), activation))
         fan_in = int(units)
+    if decoder_kind not in DECODER_KINDS:
+        raise ValueError(f"decoder_kind must be one of {DECODER_KINDS}")
     decoder = None
-    ma = None
-    if decoder_kind in MINSYN_KINDS:
-        ma = MovingAverageState(stats=None)
-    else:
-        activation = "sigmoid" if decoder_kind == "learned_sigmoid" else "identity"
-        decoder = init_dense_layer(rng, fan_in, input_dim, activation)
-    return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind,
-                            decoder=decoder, ma_state=ma,
-                            loss_kind=DECODER_LOSS[decoder_kind])
+    if decoder_kind not in MINSYN_KINDS:
+        decoder = init_dense_layer(rng, fan_in, input_dim, DECODER_OUTPUT[decoder_kind])
+    return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, decoder=decoder)
+
+
+def _readout(stats) -> DecoderParams:
+    """The MinSyn readout of a batch's or the moving average's statistics."""
+    if isinstance(stats, BinaryStats):
+        return binary_decoder_params(stats)
+    return gaussian_decoder_params(stats)
 
 
 def _check_bce_operand(name: str, arr: np.ndarray) -> None:
@@ -300,10 +296,9 @@ class ForwardCache:
     x_input: np.ndarray  # encoder input after any input noise
     pre: list  # pre-activations per encoder layer
     post: list  # outputs per encoder layer
-    z_pre: np.ndarray  # latent before latent-side regularizer
     z: np.ndarray  # latent fed to the decoder
     dropout_mask: np.ndarray | None
-    decoder_pre: np.ndarray | None  # decoder pre-activation (learned / binary)
+    decoder_pre: np.ndarray  # decoder pre-activation
     xbar: np.ndarray
     batch_stats: GaussianStats | BinaryStats | None
 
@@ -313,43 +308,39 @@ def _encode(model, x_input, mode, regularizer, rng) -> tuple:
     h = x_input
     for layer in model.encoder:
         a = h @ layer.weights.T + layer.bias
-        h = _activate(layer.activation, a)
+        h = _ACTIVATIONS[layer.activation][0](a)
         pre.append(a)
         post.append(h)
-    z_pre = h
     dropout_mask = None
-    z = z_pre
+    z = h
     if mode == "train" and not regularizer.is_noop:
         if regularizer.kind == "dropout":
             keep = 1.0 - regularizer.p
-            dropout_mask = (rng.random(z_pre.shape) < keep) / keep
-            z = z_pre * dropout_mask
+            dropout_mask = (rng.random(h.shape) < keep) / keep
+            z = h * dropout_mask
         elif regularizer.kind == "latent_gaussian_noise":
-            z = z_pre + regularizer.sigma * rng.standard_normal(z_pre.shape)
-    return pre, post, z_pre, z, dropout_mask
+            z = h + regularizer.sigma * rng.standard_normal(h.shape)
+    return pre, post, z, dropout_mask
 
 
 def _decode(model, x_target, z, mode):
-    """Returns (xbar, decoder_pre, stats_or_None)."""
-    kind = model.decoder_kind
-    if kind in MINSYN_KINDS:
-        stats = None
-        if mode == "train":
-            if kind == "minsyn_binary":
-                stats = clipped_binary_batch_stats(x_target, z)
-                params = binary_decoder_params(stats)
-            else:
-                stats = gaussian_batch_stats(x_target, z)
-                params = gaussian_decoder_params(stats)
-        else:
-            params = model.decoder_params_from_average()
-        a = params.linear(z)
-        if kind == "minsyn_binary":
-            return sigmoid(a), a, stats
-        return a, None, stats
-    a = z @ model.decoder.weights.T + model.decoder.bias
-    xbar = _activate(model.decoder.activation, a)
-    return xbar, a, None
+    """Returns (xbar, decoder_pre, stats_or_None).
+
+    Every decoder is one affine readout (W, b) followed by the kind's output
+    activation: the learned layer, the readout of the batch statistics
+    (train) or that of their moving average (eval)."""
+    stats = None
+    if model.decoder is not None:
+        readout = model.decoder
+    elif mode == "train":
+        batch_stats = (clipped_binary_batch_stats if model.decoder_kind == "minsyn_binary"
+                       else gaussian_batch_stats)
+        stats = batch_stats(x_target, z)
+        readout = _readout(stats)
+    else:
+        readout = model.decoder_params_from_average()
+    a = z @ readout.weights.T + readout.bias
+    return _ACTIVATIONS[DECODER_OUTPUT[model.decoder_kind]][0](a), a, stats
 
 
 def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
@@ -363,9 +354,9 @@ def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
     x_input = x
     if mode == "train" and regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
         x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
-    pre, post, z_pre, z, mask = _encode(model, x_input, mode, regularizer, rng)
+    pre, post, z, mask = _encode(model, x_input, mode, regularizer, rng)
     xbar, dec_pre, stats = _decode(model, x, z, mode)
-    return ForwardCache(x_input=x_input, pre=pre, post=post, z_pre=z_pre, z=z,
+    return ForwardCache(x_input=x_input, pre=pre, post=post, z=z,
                         dropout_mask=mask, decoder_pre=dec_pre, xbar=xbar,
                         batch_stats=stats)
 
@@ -412,21 +403,19 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     grads = {}
 
     d_xbar = _loss_grad_wrt_xbar(x, cache.xbar, model.loss_kind)
-    kind = model.decoder_kind
-    if kind in MINSYN_KINDS:
-        if kind == "minsyn_binary":
-            params = binary_decoder_params(cache.batch_stats)
-            d_pre = d_xbar * cache.xbar * (1.0 - cache.xbar)
-        else:
-            params = gaussian_decoder_params(cache.batch_stats)
-            d_pre = d_xbar
-        d_z = d_pre @ params.weights
+    if model.decoder_kind == "minsyn_binary":
+        # The binary readout's trained bytes come from this product order.
+        d_pre = d_xbar * cache.xbar * (1.0 - cache.xbar)
     else:
-        d_pre = d_xbar * _activate_grad(model.decoder.activation,
-                                        cache.decoder_pre, cache.xbar)
+        output_grad = _ACTIVATIONS[DECODER_OUTPUT[model.decoder_kind]][1]
+        d_pre = d_xbar * output_grad(cache.decoder_pre, cache.xbar)
+    if model.decoder is None:
+        w = _readout(cache.batch_stats).weights
+    else:
+        w = model.decoder.weights
         grads["decoder.weights"] = d_pre.T @ cache.z
         grads["decoder.bias"] = d_pre.sum(axis=0)
-        d_z = d_pre @ model.decoder.weights
+    d_z = d_pre @ w
 
     if cache.dropout_mask is not None:
         d_h = d_z * cache.dropout_mask
@@ -434,7 +423,7 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
         d_h = d_z
     for i in range(len(model.encoder) - 1, -1, -1):
         layer = model.encoder[i]
-        d_a = d_h * _activate_grad(layer.activation, cache.pre[i], cache.post[i])
+        d_a = d_h * _ACTIVATIONS[layer.activation][1](cache.pre[i], cache.post[i])
         below = cache.post[i - 1] if i > 0 else cache.x_input
         grads[f"encoder.{i}.weights"] = d_a.T @ below
         grads[f"encoder.{i}.bias"] = d_a.sum(axis=0)
@@ -448,9 +437,6 @@ class AdamState:
     """First/second-moment accumulators for a named set of parameters."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -459,7 +445,7 @@ class AdamState:
 def adam_step(state: AdamState, params: dict, grads: dict):
     """One bias-corrected Adam update, in place on the parameter arrays."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -475,7 +461,7 @@ def adam_step(state: AdamState, params: dict, grads: dict):
         m_hat = m / (1.0 - b1 ** state.t)
         denom = v / (1.0 - b2 ** state.t)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         m_hat *= state.lr
         m_hat /= denom
         p -= m_hat
@@ -502,10 +488,6 @@ class TrainConfig:
         object.__setattr__(self, "encoder_spec",
                            tuple((int(u), str(a)) for u, a in self.encoder_spec))
 
-    @property
-    def loss_kind(self) -> str:
-        return DECODER_LOSS[self.decoder_kind]
-
 
 def train_autoencoder(config: TrainConfig, data) -> tuple:
     """Train on ``data`` (N, n); returns (model, per-epoch mean batch loss).
@@ -525,7 +507,6 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
     opt = AdamState(lr=config.lr)
     params = model.parameters()
     history = []
-    minsyn = config.decoder_kind in MINSYN_KINDS
     if config.epochs and n_samples % config.batch_size == 1:
         log.info("dropping the trailing batch of one sample in each of the %d epochs",
                  config.epochs)
@@ -542,7 +523,7 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, start // config.batch_size)
             adam_step(opt, params, grads)
-            if minsyn:
+            if stats is not None:
                 model.ma_state = update_moving_average(model.ma_state, stats)
             batch_losses.append(loss_value)
         history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))

@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 GLYPH_SIDE = 28
 WORD_LEN = 3
 LETTERS_PER_SLOT = 8
+MAX_SHIFT = 4  # largest shift of a synthetic digit, in pixels per axis
 
 # 5x7 pixel font, scaled x4 and centered on a 28x28 canvas.  Distinct
 # shapes per character are all the benchmark needs.
@@ -86,7 +87,7 @@ def builtin_glyphs(chars) -> dict:
     return {c: builtin_glyph(c) for c in chars}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordDataset:
     """Word images plus the metadata needed by the concentration metric."""
 
@@ -108,24 +109,24 @@ def char_layout(word_len: int = WORD_LEN, side: int = GLYPH_SIDE) -> np.ndarray:
     return np.tile(cols, side)
 
 
-def derive_letters_by_position(words, slots: int = WORD_LEN,
-                               top: int = LETTERS_PER_SLOT) -> tuple:
-    """Most frequent letters at each of the first ``slots`` positions.
+def derive_letters_by_position(words) -> tuple:
+    """The LETTERS_PER_SLOT most frequent letters at each of the first
+    WORD_LEN positions.
 
     Counts position k over all words longer than k characters; ties are
     broken alphabetically so the grid is deterministic.
     """
     grids = []
-    for k in range(slots):
+    for k in range(WORD_LEN):
         counts = {}
         for w in words:
             w = w.strip().lower()
             if len(w) > k and w[k].isalpha():
                 counts[w[k]] = counts.get(w[k], 0) + 1
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if len(ranked) < top:
+        if len(ranked) < LETTERS_PER_SLOT:
             raise ValueError(f"not enough distinct letters at position {k}")
-        grids.append(tuple(ch for ch, _ in ranked[:top]))
+        grids.append(tuple(ch for ch, _ in ranked[:LETTERS_PER_SLOT]))
     return tuple(grids)
 
 
@@ -204,9 +205,7 @@ def bundled_letter_grid() -> tuple:
     return tuple(tuple(g) for g in json.loads(text)["letters_by_position"])
 
 
-def load_handwritten_glyphs(directory, letters,
-                            images_name: str = "emnist-letters-train-images-idx3-ubyte",
-                            labels_name: str = "emnist-letters-train-labels-idx1-ubyte"):
+def load_handwritten_glyphs(directory, letters):
     """One glyph per letter from a handwritten-letters IDX pair.
 
     Labels 1..26 map to a..z.  The first occurrence of each requested letter
@@ -222,8 +221,8 @@ def load_handwritten_glyphs(directory, letters,
                 return p
         raise FileNotFoundError(f"{stem}[.gz] not found under {directory}")
 
-    images = read_idx_file(find(images_name)).reshaped()
-    labels = read_idx_file(find(labels_name)).reshaped()
+    images = read_idx_file(find("emnist-letters-train-images-idx3-ubyte")).reshaped()
+    labels = read_idx_file(find("emnist-letters-train-labels-idx1-ubyte")).reshaped()
     labels = np.round(labels * 255.0).astype(int)  # stored as ubyte
     if images.ndim != 3 or images.shape[0] != labels.shape[0]:
         raise ValueError("images and labels do not line up")
@@ -252,12 +251,13 @@ def shift_image(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def synthetic_digits(count: int, seed: int = 0, max_shift: int = 4):
+def synthetic_digits(count: int, seed: int = 0):
     """Digit rasters for experiments that would otherwise need a download.
 
-    Renders the built-in digit glyphs with random integer translations, so
-    reconstruction is a real learning problem while the whole dataset stays
-    deterministic.  Returns (images (count, 784), labels (count,)).
+    Renders the built-in digit glyphs with random integer translations of
+    up to MAX_SHIFT pixels along each axis, so reconstruction is a real
+    learning problem while the whole dataset stays deterministic.  Returns
+    (images (count, 784), labels (count,)).
     """
     rng = np.random.default_rng(seed)
     base = [builtin_glyph(str(d)) for d in range(10)]
@@ -265,7 +265,7 @@ def synthetic_digits(count: int, seed: int = 0, max_shift: int = 4):
     labels = np.empty(count, dtype=int)
     for i in range(count):
         d = int(rng.integers(10))
-        dy, dx = (int(v) for v in rng.integers(-max_shift, max_shift + 1, size=2))
+        dy, dx = (int(v) for v in rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2))
         images[i] = shift_image(base[d], dy, dx).ravel()
         labels[i] = d
     return images, labels

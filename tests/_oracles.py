@@ -120,6 +120,15 @@ def ci_posterior_numeric(rho: np.ndarray, z: np.ndarray, grid: int = 20001,
     return mean, var
 
 
+def ci_posterior_direct(rho: np.ndarray, clamp: float) -> tuple:
+    """(weights, variance) of the conditionally-independent posterior of one
+    correlation vector, term by term in the order the formula is written:
+    weight_j = rho_j / (1 - rho_j^2) / (1 + R), variance = 1 / (1 + R)."""
+    r = np.clip(rho, -(1.0 - clamp), 1.0 - clamp)
+    big_r = float((r ** 2 / (1.0 - r ** 2)).sum())
+    return (r / (1.0 - r ** 2)) / (1.0 + big_r), 1.0 / (1.0 + big_r)
+
+
 def mc_gaussian_ci_synergy(system, ci_posterior, n_samples: int = 1_000_000,
                            seed: int = 1234) -> float:
     """Monte-Carlo estimate of the expected KL between the exact posterior
@@ -242,7 +251,7 @@ def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
         x_input = x
         if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
             x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
-        _, _, _, z, _ = nn._encode(model, x_input, "train", regularizer, rng)
+        _, _, z, _ = nn._encode(model, x_input, "train", regularizer, rng)
         xbar = readout.linear(z)
         if model.decoder_kind == "minsyn_binary":
             xbar = nn.sigmoid(xbar)

@@ -154,10 +154,33 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 0
         ckpt = load_checkpoint(Path(doc["output_dir"]) / "checkpoint.msck")
         expected, _ = model_arrays(
-            *train_autoencoder(parse_config(doc).train_config(), images))
+            *train_autoencoder(parse_config(doc).train, images))
         assert ckpt.arrays.keys() == expected.keys()
         for key, array in expected.items():
             assert ckpt.arrays[key].tobytes() == array.tobytes(), key
+
+    def test_words_training_reads_only_the_training_images(self, tmp_path, word_data_dir):
+        only_train = tmp_path / "only_train"
+        only_train.mkdir()
+        (only_train / "train_images.idx").write_bytes(
+            (word_data_dir / "train_images.idx").read_bytes())
+        checkpoints = []
+        for name, data_dir in (("full", word_data_dir), ("only_train", only_train)):
+            doc = {
+                "name": name,
+                "dataset": {"kind": "words", "dir": str(data_dir)},
+                "model": {"kind": "autoencoder", "latents": 4,
+                          "encoder": [{"units": 4, "activation": "sigmoid"}],
+                          "decoder_kind": "minsyn_gaussian"},
+                "training": {"epochs": 2, "batch_size": 16, "lr": 0.01, "seed": 0},
+                "output_dir": str(tmp_path / "runs" / name),
+            }
+            assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 0
+            checkpoints.append(load_checkpoint(Path(doc["output_dir"]) / "checkpoint.msck"))
+        full, only = checkpoints
+        assert full.arrays.keys() == only.arrays.keys()
+        for key, array in full.arrays.items():
+            assert only.arrays[key].tobytes() == array.tobytes(), key
 
     def test_words_training_smoke(self, tmp_path, word_data_dir):
         doc = {
@@ -233,6 +256,16 @@ class TestEval:
         assert len(rows) == 7  # header + six kinds
         assert [r.split(",")[0] for r in rows[1:]] == [
             "none", "bottom_half", "right_half", "erase_chunk", "v_stripe", "h_stripe"]
+
+    def test_checkpoint_activation_disagreeing_with_the_kind_exits_3(self, tmp_path, capsys):
+        model = build_autoencoder(784, ((4, "sigmoid"),), "learned_linear", seed=0)
+        arrays, meta = model_arrays(model, [0.0])
+        meta["decoder_activation"] = "sigmoid"
+        path = tmp_path / "mismatch.msck"
+        save_checkpoint(path, {"name": "mismatch"}, arrays, meta)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--images", str(self._digit_images(tmp_path))]) == 3
+        assert "decoder_activation" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         images = self._digit_images(tmp_path)

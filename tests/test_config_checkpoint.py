@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from minsyn.checkpoint import (
     save_checkpoint,
 )
 from minsyn.config import ConfigError, load_config, parse_config, resolve_data_path
-from minsyn.nn import PcaModel, TrainConfig, forward, pca_fit, train_autoencoder
+from minsyn.nn import DECODER_LOSS, PcaModel, TrainConfig, forward, pca_fit, train_autoencoder
 
 GOOD = {
     "name": "demo",
@@ -37,8 +38,8 @@ class TestConfigSchema:
     def test_good_config(self):
         cfg = parse_config(GOOD)
         assert cfg.name == "demo"
-        assert cfg.decoder_kind == "minsyn_binary"
-        assert cfg.train_config().batch_size == 4
+        assert cfg.train.decoder_kind == "minsyn_binary"
+        assert cfg.train.batch_size == 4
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys.*bogus"):
@@ -86,7 +87,7 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="PCA"):
             parse_config(doc)
         del doc["training"]
-        assert parse_config(doc).is_pca
+        assert parse_config(doc).train is None
 
     def test_bool_is_not_int(self):
         doc = cfg_dict()
@@ -131,10 +132,19 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="truncated"):
             parse_checkpoint(blob[:-8])
 
+    def test_shape_past_int64_is_truncated(self):
+        blob = dump_checkpoint(GOOD, {"a": np.zeros(4)}, {})
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        header["arrays"][0]["shape"] = [2 ** 32, 2 ** 32]
+        text = json.dumps(header).encode()
+        with pytest.raises(ValueError, match="truncated"):
+            parse_checkpoint(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
+
     def test_file_round_trip_byte_identity(self, tmp_path):
         cfg = parse_config(GOOD)
         data = (np.random.default_rng(0).random((16, 6)) > 0.5).astype(float)
-        model, history = train_autoencoder(cfg.train_config(), data)
+        model, history = train_autoencoder(cfg.train, data)
         arrays, meta = model_arrays(model, history)
         p1, p2 = tmp_path / "a.msck", tmp_path / "b.msck"
         save_checkpoint(p1, GOOD, arrays, meta)
@@ -147,7 +157,7 @@ class TestModelRestore:
     def test_autoencoder_round_trip_behaviour(self, tmp_path):
         cfg = parse_config(GOOD)
         data = (np.random.default_rng(1).random((16, 6)) > 0.5).astype(float)
-        model, history = train_autoencoder(cfg.train_config(), data)
+        model, history = train_autoencoder(cfg.train, data)
         arrays, meta = model_arrays(model, history)
         restored = restore_model(parse_checkpoint(dump_checkpoint(GOOD, arrays, meta)))
         _, xbar_a = forward(model, data, mode="eval")
@@ -169,7 +179,7 @@ class TestModelRestore:
         for n in names:
             assert np.array_equal(getattr(restored.ma_state.stats, n),
                                   getattr(model.ma_state.stats, n))
-        assert restored.loss_kind == model.loss_kind == cfg.loss_kind
+        assert restored.loss_kind == model.loss_kind == DECODER_LOSS[decoder_kind]
 
     def test_learned_decoder_round_trip(self):
         cfg = TrainConfig(epochs=3, batch_size=4, seed=2, lr=0.01,
@@ -181,6 +191,25 @@ class TestModelRestore:
         restored = restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
         assert np.array_equal(restored.decoder.weights, model.decoder.weights)
         assert restored.decoder.activation == "sigmoid"
+
+    @pytest.mark.parametrize("decoder_kind,key,stored", [
+        ("minsyn_binary", "ma_momentum", 0.9),
+        ("minsyn_binary", "ma_stats_kind", "GaussianStats"),
+        ("minsyn_gaussian", "ma_stats_kind", None),
+        ("learned_sigmoid", "decoder_activation", "identity"),
+    ])
+    def test_stored_value_disagreeing_with_the_kind_rejected(self, decoder_kind, key, stored):
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=1, lr=0.01,
+                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
+        model, history = train_autoencoder(cfg, np.random.default_rng(5).random((8, 5)))
+        arrays, meta = model_arrays(model, history)
+        restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
+        if stored is None:
+            del meta[key]
+        else:
+            meta[key] = stored
+        with pytest.raises(ValueError, match=f"checkpoint {key}"):
+            restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
 
     def test_pca_round_trip(self):
         data = np.random.default_rng(3).normal(size=(20, 5))

@@ -5,6 +5,7 @@ import pytest
 
 from minsyn.decoder import (
     EPS,
+    MA_MOMENTUM,
     STD_FLOOR,
     BinaryStats,
     GaussianStats,
@@ -274,12 +275,13 @@ class TestReadoutCache:
     @pytest.mark.parametrize("kind", ["binary", "gaussian"])
     def test_moving_average_update_rebuilds_the_readout(self, kind):
         s1, s2 = _random_stats(kind, 23), _random_stats(kind, 24)
-        state = update_moving_average(MovingAverageState(stats=None, momentum=0.5), s1)
+        state = update_moving_average(MovingAverageState(stats=None), s1)
         old = READOUTS[kind](state.stats)
         state = update_moving_average(state, s2)
         new = READOUTS[kind](state.stats)
         assert not np.array_equal(new.weights, old.weights)
-        blended = type(s1)(**{f.name: 0.5 * getattr(s1, f.name) + 0.5 * getattr(s2, f.name)
+        mu = MA_MOMENTUM
+        blended = type(s1)(**{f.name: mu * getattr(s1, f.name) + (1.0 - mu) * getattr(s2, f.name)
                               for f in dataclasses.fields(s1)})
         assert _same_params(new, READOUTS[kind](blended))
 
@@ -354,23 +356,22 @@ class TestMovingAverage:
         assert state.stats.x_mean[0] == 0.7
 
     def test_constant_stream_fixpoint(self):
-        state = MovingAverageState(stats=None, momentum=0.9)
+        state = MovingAverageState(stats=None)
         for _ in range(10):
             state = update_moving_average(state, self._stats(0.3))
         assert state.stats.x_mean[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_hand_recurrence(self):
-        state = MovingAverageState(stats=None, momentum=0.9)
+        state = MovingAverageState(stats=None)
         state = update_moving_average(state, self._stats(0.0))
         state = update_moving_average(state, self._stats(1.0))
-        assert state.stats.x_mean[0] == pytest.approx(0.1, abs=1e-15)
+        assert state.stats.x_mean[0] == pytest.approx(0.01, abs=1e-15)
         assert state.step_count == 2
 
     def test_geometric_identity(self):
-        mu = 0.97
+        mu = MA_MOMENTUM
         b0, b = 0.2, 0.8
-        state = update_moving_average(MovingAverageState(stats=None, momentum=mu),
-                                      self._stats(b0))
+        state = update_moving_average(MovingAverageState(stats=None), self._stats(b0))
         k = 7
         for _ in range(k):
             state = update_moving_average(state, self._stats(b))
@@ -397,11 +398,12 @@ class TestMovingAverage:
         x1, z1 = rng.normal(size=(32, 2)), rng.normal(size=(32, 2))
         x2, z2 = rng.normal(size=(32, 2)) + 5, rng.normal(size=(32, 2)) * 2
         s1, s2 = gaussian_batch_stats(x1, z1), gaussian_batch_stats(x2, z2)
-        state = update_moving_average(MovingAverageState(stats=None, momentum=0.5), s1)
+        mu = MA_MOMENTUM
+        state = update_moving_average(MovingAverageState(stats=None), s1)
         state = update_moving_average(state, s2)
         blended = state.stats
         # raw moments blend linearly ...
-        assert np.allclose(blended.xz_mean, 0.5 * s1.xz_mean + 0.5 * s2.xz_mean)
+        assert np.allclose(blended.xz_mean, mu * s1.xz_mean + (1 - mu) * s2.xz_mean)
         # ... but the correlation is recomputed, not the average of rhos
-        naive = 0.5 * _rho(s1) + 0.5 * _rho(s2)
+        naive = mu * _rho(s1) + (1 - mu) * _rho(s2)
         assert not np.allclose(_rho(blended), naive, atol=1e-3)

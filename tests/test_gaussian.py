@@ -6,7 +6,9 @@ import pytest
 from minsyn.gaussian import (
     ConditioningError,
     DegeneracyError,
+    RHO_CLAMP,
     GaussianSystem,
+    ci_weights,
     feasible_sigma12_range,
     gaussian_ci_posterior,
     gaussian_ci_synergy,
@@ -19,6 +21,7 @@ from minsyn.gaussian import (
 )
 
 from _oracles import (
+    ci_posterior_direct,
     ci_posterior_numeric,
     closed_form_measures,
     eig_scan_interval,
@@ -347,6 +350,25 @@ class TestCiPosterior:
     def test_clamped_perfect_correlation(self):
         post = gaussian_ci_posterior([1.0])
         assert np.isfinite(post.weights).all()
+
+    def test_equals_the_direct_formula_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        for _ in range(2000):
+            rho = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 9)))
+            rho[rng.random(rho.size) < 0.1] = rng.choice([-1.0, 1.0])
+            post = gaussian_ci_posterior(rho)
+            weights, variance = ci_posterior_direct(rho, RHO_CLAMP)
+            assert post.weights.tobytes() == weights.tobytes()
+            assert post.variance == variance
+
+    def test_rows_of_a_block_equal_single_vectors(self):
+        r = np.clip(np.random.default_rng(41).uniform(-1, 1, size=(50, 7)),
+                    -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP)
+        weights, one_plus_big_r = ci_weights(r.copy())
+        for row, w, s in zip(r, weights, one_plus_big_r):
+            post = gaussian_ci_posterior(row)
+            assert w.tobytes() == post.weights.tobytes()
+            assert 1.0 / s == post.variance
 
 
 class TestCiSynergy:

@@ -57,6 +57,13 @@ class TestParse:
             parse_idx(payload)
         assert err.value.offset == len(payload)
 
+    @pytest.mark.parametrize("magic,dims", [(0x0804, (65536,) * 4),
+                                            (0x0803, (2 ** 31, 2 ** 31, 4))])
+    def test_element_count_past_int64_is_truncated(self, magic, dims):
+        payload = struct.pack(f">I{len(dims)}I", magic, *dims)
+        with pytest.raises(IdxParseError, match="truncated payload"):
+            parse_idx(payload)
+
     def test_trailing_bytes_rejected(self):
         payload = struct.pack(">II", 0x00000801, 1) + bytes([1, 2])
         with pytest.raises(IdxParseError, match="trailing"):

@@ -7,6 +7,7 @@ from minsyn.nn import (
     BCE_CLAMP,
     DECODER_KINDS,
     DECODER_LOSS,
+    DECODER_OUTPUT,
     MINSYN_KINDS,
     AdamState,
     AutoencoderModel,
@@ -173,7 +174,7 @@ class TestGradients:
     def test_zero_batch_zero_grads(self):
         enc = DenseLayer(np.zeros((3, 4)), np.zeros(3), "identity")
         dec = DenseLayer(np.zeros((4, 3)), np.zeros(4), "identity")
-        model = AutoencoderModel([enc], "learned_linear", decoder=dec, loss_kind="mse")
+        model = AutoencoderModel([enc], "learned_linear", decoder=dec)
         _, grads, _ = gradients(model, np.zeros((4, 4)))
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
@@ -215,17 +216,18 @@ class TestGradients:
 class TestDecoderLoss:
     @pytest.mark.parametrize("decoder_kind", DECODER_KINDS)
     def test_one_table_pairs_each_decoder_with_its_loss(self, decoder_kind):
-        cfg = TrainConfig(epochs=0, batch_size=2, seed=0, lr=0.0,
-                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
-        assert cfg.loss_kind == DECODER_LOSS[decoder_kind]
+        sigmoid_output = decoder_kind in ("learned_sigmoid", "minsyn_binary")
+        assert DECODER_OUTPUT[decoder_kind] == ("sigmoid" if sigmoid_output else "identity")
+        assert DECODER_LOSS[decoder_kind] == ("bce" if sigmoid_output else "mse")
         assert small_model(decoder_kind).loss_kind == DECODER_LOSS[decoder_kind]
-        assert DECODER_LOSS[decoder_kind] == (
-            "bce" if decoder_kind in ("learned_sigmoid", "minsyn_binary") else "mse")
 
-    def test_mismatched_loss_rejected(self):
-        model = small_model("minsyn_gaussian")
-        with pytest.raises(ValueError, match="pairs with mse"):
-            AutoencoderModel(model.encoder, "minsyn_gaussian", loss_kind="bce")
+    @pytest.mark.parametrize("decoder_kind", ["learned_sigmoid", "learned_linear"])
+    def test_output_layer_must_match_the_kind(self, decoder_kind):
+        model = small_model(decoder_kind)
+        wrong = "identity" if DECODER_OUTPUT[decoder_kind] == "sigmoid" else "sigmoid"
+        layer = DenseLayer(model.decoder.weights, model.decoder.bias, wrong)
+        with pytest.raises(ValueError, match=f"needs a {DECODER_OUTPUT[decoder_kind]} output"):
+            AutoencoderModel(model.encoder, decoder_kind, decoder=layer)
 
 
 class TestAdam:
