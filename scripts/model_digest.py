@@ -18,7 +18,8 @@ The script prints, one fact per line:
   `to_text()` and of the bytes of `from_text(to_text()).probs`;
 - each checkpoint's `meta` as sorted JSON, the SHA-256 of every
   checkpoint array and of history.csv;
-- for MinSyn models, the SHA-256 of the moving-average readout's arrays;
+- for MinSyn models, the SHA-256 of the moving-average readout's weights
+  and bias;
 - for word models, the report losses (train and test, mse) and acc;
 - for digits models, the eval loss (`EVAL_LOSS`) under every noise kind,
   corrupted with `EVAL_NOISE_SEED`, on a seeded set of synthetic digits
@@ -101,10 +102,8 @@ def digest(name: str, config_path: Path, eval_images: Path):
     model = restore_model(ckpt)
     if getattr(model, "decoder_kind", None) in MINSYN_KINDS:
         readout = model.decoder_params_from_average()
-        for key in ("weights", "bias", "variance"):
-            value = getattr(readout, key)
-            if value is not None:
-                yield f"{name} readout {key} {array_sha(value)}"
+        for key in ("weights", "bias"):
+            yield f"{name} readout {key} {array_sha(getattr(readout, key))}"
     if cfg.dataset["kind"] == "words":
         words, _ = cli.load_word_dataset(cfg.dataset["dir"])
         train_loss, test_loss = reconstruction_losses(

@@ -65,6 +65,8 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     offset = 16 + hlen
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"invalid shape {entry['shape']!r} for array {entry['name']!r}")
         end = offset + 8 * math.prod(shape)
         if end > len(data):
             raise ValueError(f"checkpoint truncated in array {entry['name']!r}")
@@ -142,7 +144,11 @@ def restore_model(ckpt: Checkpoint):
         cls = MINSYN_STATS[decoder_kind]
         stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
         ma = MovingAverageState(stats=stats, step_count=int(meta["ma_step_count"]))
-        return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)
+        model = AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)
+        readout = model.decoder_params_from_average()  # cached: evaluation reuses it
+        if not (np.isfinite(readout.weights).all() and np.isfinite(readout.bias).all()):
+            raise ValueError("checkpoint moving-average readout is not finite")
+        return model
     decoder = DenseLayer(weights=arrays["decoder.weights"], bias=arrays["decoder.bias"],
                          activation=DECODER_OUTPUT[decoder_kind])
     return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, decoder=decoder)

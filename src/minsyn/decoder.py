@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import ci_weights
+from .gaussian import RHO_CLAMP, ci_weights
 
+# Clamp of the Bernoulli probabilities into [EPS, 1 - EPS].
 EPS = 1e-4
 STD_FLOOR = 1e-6
 # Weight of the running value in each moving-average update.
@@ -115,14 +116,13 @@ class GaussianStats:
         """Clamped correlations of the outputs in ``rows`` with every latent."""
         cov = self.xz_mean[rows] - np.outer(self.x_mean[rows], self.z_mean)
         r = cov / np.outer(self.x_std[rows], self.z_std)
-        return np.clip(r, -(1.0 - EPS), 1.0 - EPS)
+        return np.clip(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP)
 
     def _readout_rows(self, rows: slice) -> tuple:
-        """(weights, variance) of the outputs in ``rows``."""
-        weights, one_plus_big_r = ci_weights(self._rho_rows(rows))
+        """(weights,) of the outputs in ``rows``."""
+        weights, _ = ci_weights(self._rho_rows(rows))
         weights *= np.outer(self.x_std[rows], 1.0 / self.z_std)
-        variance = self.x_std[rows] ** 2 / one_plus_big_r
-        return weights, variance
+        return (weights,)
 
     @cached_property
     def readout(self) -> DecoderParams:
@@ -131,13 +131,12 @@ class GaussianStats:
 
             xbar_i = x_mean_i + x_std_i * sum_j u_ij (z_j - z_mean_j) / z_std_j
 
-        with u_ij the standardized posterior weights and variance
-        x_std_i^2 / (1 + R_i).
+        with u_ij the weights ``gaussian.gaussian_ci_posterior`` gives the
+        row's correlations, so xbar_i is that posterior's mean.
         """
-        weights, variance = _stack_row_blocks(self.n, self.m, self._readout_rows)
+        (weights,) = _stack_row_blocks(self.n, self.m, self._readout_rows)
         bias = self.x_mean - weights @ self.z_mean
-        return DecoderParams(weights=_frozen(weights), bias=_frozen(bias),
-                             variance=_frozen(variance))
+        return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,35 +221,10 @@ class BinaryStats:
 
 @dataclass(frozen=True, eq=False)
 class DecoderParams:
-    """Affine readout of the latents: one row of weights and a bias per output.
-
-    For the Gaussian decoder ``variance`` additionally carries the posterior
-    variance of each output; the binary decoder leaves it None and its output
-    is meant to pass through a sigmoid.
-    """
+    """Affine readout of the latents: one row of weights and a bias per output."""
 
     weights: np.ndarray  # (n, m)
     bias: np.ndarray  # (n,)
-    variance: np.ndarray | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bias, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise ValueError("weights must be (n, m) with an n-vector bias")
-        ok = np.all(np.isfinite(w)) and np.all(np.isfinite(b))
-        if self.variance is not None:
-            v = np.asarray(self.variance, dtype=float)
-            object.__setattr__(self, "variance", v)
-            ok = ok and v.shape == b.shape and np.all(np.isfinite(v))
-        if not ok:
-            raise ValueError("decoder parameters must be finite and consistent")
-
-    def linear(self, z: np.ndarray) -> np.ndarray:
-        """Affine part w . z + b for a batch of latents (B, m)."""
-        return np.asarray(z, dtype=float) @ self.weights.T + self.bias
 
 
 def _batch_pair(x_batch, z_batch) -> tuple:

@@ -203,9 +203,6 @@ class CiPosterior:
         if not (0.0 < self.variance <= 1.0):
             raise ValueError("posterior variance must lie in (0, 1]")
 
-    def mean(self, z) -> np.ndarray:
-        return np.asarray(z, dtype=float) @ self.weights
-
 
 def feasible_sigma12_range(rho1: float, rho2: float) -> Interval:
     """Range of latent correlations Sigma_12 that keep (Z_1, Z_2, X) realizable.

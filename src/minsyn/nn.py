@@ -86,7 +86,7 @@ _ACTIVATIONS = {
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -146,7 +146,7 @@ class Regularizer:
 NO_REGULARIZER = Regularizer()
 
 
-@dataclass
+@dataclass(eq=False)
 class AutoencoderModel:
     encoder: list[DenseLayer]
     decoder_kind: str
@@ -291,7 +291,7 @@ def _sample_losses(x: np.ndarray, xb: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardCache:
     x_input: np.ndarray  # encoder input after any input noise
     pre: list  # pre-activations per encoder layer
@@ -556,7 +556,7 @@ def pca_fit(data, k: int):
     return components, mean
 
 
-@dataclass
+@dataclass(eq=False)
 class PcaModel:
     """Linear reconstruction through the top principal components."""
 

@@ -234,13 +234,20 @@ def finite_difference_gradients(loss_of_params, params: dict, h: float = 1e-5):
     return grads
 
 
+def affine_readout(readout, z) -> np.ndarray:
+    """Affine part w . z + b of a decoder readout for a batch of latents
+    (B, m): the arithmetic ``nn._decode`` applies before the output
+    activation."""
+    return np.asarray(z, dtype=float) @ readout.weights.T + readout.bias
+
+
 def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
     """Training loss of one forward pass with a MinSyn decoder pinned to
     ``readout``, so the loss is a function of the network parameters alone.
 
     For MinSyn kinds the latents come from ``nn._encode``, after the input
     noise is drawn first as a training step draws it, and are read out
-    through ``readout.linear`` (then a sigmoid for the binary decoder).
+    through ``affine_readout`` (then a sigmoid for the binary decoder).
     Learned kinds run ``nn.forward`` in train mode and pass no readout.
     The reconstruction is scored against the clean input.
     """
@@ -252,7 +259,7 @@ def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
         if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
             x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
         _, _, z, _ = nn._encode(model, x_input, "train", regularizer, rng)
-        xbar = readout.linear(z)
+        xbar = affine_readout(readout, z)
         if model.decoder_kind == "minsyn_binary":
             xbar = nn.sigmoid(xbar)
     return nn.loss(x, xbar, model.loss_kind)
@@ -322,7 +329,7 @@ def binary_readout_whole(x_mean, z_mean, xz_mean, eps):
 
 def gaussian_readout_whole(x_mean, z_mean, x_sq_mean, z_sq_mean, xz_mean, eps, std_floor):
     """Conditionally-independent posterior readout in whole-array passes:
-    (rho, weights, bias, variance)."""
+    (rho, weights, bias)."""
     x_std = np.sqrt(np.clip(x_sq_mean - x_mean ** 2, std_floor ** 2, None))
     z_std = np.sqrt(np.clip(z_sq_mean - z_mean ** 2, std_floor ** 2, None))
     rho = (xz_mean - np.outer(x_mean, z_mean)) / np.outer(x_std, z_std)
@@ -332,8 +339,7 @@ def gaussian_readout_whole(x_mean, z_mean, x_sq_mean, z_sq_mean, xz_mean, eps, s
     u = (rho / (1.0 - r2)) / one_plus_big_r[:, None]
     weights = u * np.outer(x_std, 1.0 / z_std)
     bias = x_mean - weights @ z_mean
-    variance = x_std ** 2 / one_plus_big_r
-    return rho, weights, bias, variance
+    return rho, weights, bias
 
 
 def closed_form_measures(rho: np.ndarray, sigma: np.ndarray) -> tuple:

@@ -29,7 +29,7 @@ from minsyn.nn import (DECODER_KINDS, MINSYN_KINDS, Regularizer, build_autoencod
 from minsyn.nn import loss as loss_fn
 from minsyn.noise import apply_noise
 
-from _oracles import (bayes_posterior_binary, ci_posterior_numeric,
+from _oracles import (affine_readout, bayes_posterior_binary, ci_posterior_numeric,
                       finite_difference_gradients, grid_min_explained_variance,
                       pinned_readout_loss)
 
@@ -117,7 +117,7 @@ def test_criterion_4_decoder_bayes_equivalence():
         params = binary_decoder_params(stats)
         for bits in range(2 ** m):
             z = np.array([(bits >> j) & 1 for j in range(m)], dtype=float)
-            ours = sigmoid(params.linear(z[None, :]))[0, 0]
+            ours = sigmoid(affine_readout(params, z[None, :]))[0, 0]
             ref = bayes_posterior_binary(px1, q1, q0, z.astype(int))
             worst_binary = max(worst_binary, abs(ours - ref))
     worst_gauss = 0.0

@@ -135,12 +135,23 @@ class TestTrain:
         cfg_path = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg_path)]) == 2
 
-    def test_diverged_training_exits_4(self, tmp_path):
+    def test_diverged_training_exits_4(self, tmp_path, capsys):
         doc = digits_config(tmp_path, name="boom", decoder_kind="learned_linear",
                             epochs=2, lr=1e200)
         cfg_path = write_config(tmp_path, doc)
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(cfg_path)]) == 4
+        # A statistics-driven decoder diverges through the loss as well.
+        doc = digits_config(tmp_path, name="boom_minsyn", decoder_kind="minsyn_gaussian",
+                            epochs=2, lr=1e300)
+        doc["dataset"].update(train=60, seed=1)
+        doc["model"].update(latents=4, encoder=[{"units": 4, "activation": "identity"}])
+        doc["training"]["batch_size"] = 10
+        cfg_path = write_config(tmp_path, doc)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg_path)]) == 4
+        assert "numerical abort: loss became NaN at epoch 0, batch 1" in capsys.readouterr().err
 
     def test_idx_config_trains_on_its_images(self, tmp_path, monkeypatch):
         images, _ = synthetic_digits(20, seed=3)
@@ -266,6 +277,17 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(path),
                      "--images", str(self._digit_images(tmp_path))]) == 3
         assert "decoder_activation" in capsys.readouterr().err
+
+    def test_non_finite_average_readout_exits_3(self, tmp_path, capsys):
+        doc = digits_config(tmp_path, name="nan_ma", decoder_kind="minsyn_gaussian")
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 0
+        ckpt = load_checkpoint(Path(doc["output_dir"]) / "checkpoint.msck")
+        ckpt.arrays["ma.xz_mean"][10, 0] = np.nan
+        path = tmp_path / "nan_ma.msck"
+        save_checkpoint(path, ckpt.config, ckpt.arrays, ckpt.meta)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--images", str(self._digit_images(tmp_path))]) == 3
+        assert "readout is not finite" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         images = self._digit_images(tmp_path)

@@ -141,6 +141,16 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="truncated"):
             parse_checkpoint(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
 
+    @pytest.mark.parametrize("size", [-1, 2.5])
+    def test_invalid_shape_rejected(self, size):
+        # With no check, a size of -1 moves the read offset back 8 bytes and
+        # "b" is read from the end of the header.
+        header = {"version": 1, "config": {}, "meta": {},
+                  "arrays": [{"name": "a", "shape": [size]}, {"name": "b", "shape": [1]}]}
+        text = json.dumps(header, sort_keys=True).encode()
+        with pytest.raises(ValueError, match="invalid shape .* 'a'"):
+            parse_checkpoint(b"MSYNCKPT" + struct.pack("<Q", len(text)) + text)
+
     def test_file_round_trip_byte_identity(self, tmp_path):
         cfg = parse_config(GOOD)
         data = (np.random.default_rng(0).random((16, 6)) > 0.5).astype(float)
@@ -209,6 +219,17 @@ class TestModelRestore:
         else:
             meta[key] = stored
         with pytest.raises(ValueError, match=f"checkpoint {key}"):
+            restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
+
+    @pytest.mark.parametrize("decoder_kind", ["minsyn_binary", "minsyn_gaussian"])
+    def test_non_finite_average_readout_rejected(self, decoder_kind):
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=1, lr=0.01,
+                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
+        model, history = train_autoencoder(cfg, np.random.default_rng(6).random((8, 5)))
+        arrays, meta = model_arrays(model, history)
+        arrays["ma.xz_mean"] = arrays["ma.xz_mean"].copy()
+        arrays["ma.xz_mean"][1, 2] = np.nan
+        with pytest.raises(ValueError, match="readout is not finite"):
             restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
 
     def test_pca_round_trip(self):

@@ -18,9 +18,11 @@ from minsyn.decoder import (
     row_blocks,
     update_moving_average,
 )
+from minsyn.gaussian import RHO_CLAMP
 from minsyn.nn import TrainConfig, sigmoid, train_autoencoder
 
 from _oracles import (
+    affine_readout,
     bayes_posterior_binary,
     binary_readout_whole,
     gaussian_readout_whole,
@@ -44,7 +46,7 @@ class TestGaussianBatchStats:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(32, 3))
         stats = gaussian_batch_stats(x, x)
-        assert np.allclose(np.diag(_rho(stats)), 1.0 - EPS)
+        assert np.allclose(np.diag(_rho(stats)), 1.0 - RHO_CLAMP)
 
     def test_constant_column_floored(self):
         x = np.ones((16, 2))
@@ -134,7 +136,7 @@ class TestGaussianDecoderParams:
                               z_sq_mean=np.ones(2), xz_mean=np.zeros((1, 2)))
         params = gaussian_decoder_params(stats)
         z = np.random.default_rng(0).normal(size=(5, 2))
-        assert np.allclose(params.linear(z), 3.5, atol=1e-12)
+        assert np.allclose(affine_readout(params, z), 3.5, atol=1e-12)
 
     def test_reference_row(self):
         stats = GaussianStats(x_mean=np.zeros(1), z_mean=np.zeros(2),
@@ -142,7 +144,6 @@ class TestGaussianDecoderParams:
                               xz_mean=np.array([[0.5, 0.75]]))
         params = gaussian_decoder_params(stats)
         assert params.weights[0] == pytest.approx([0.25455, 0.65455], abs=1e-5)
-        assert params.variance[0] == pytest.approx(0.38182, abs=1e-5)
 
     def test_destandardization(self):
         # raw-space decode must equal the standardized-space posterior mean
@@ -156,7 +157,7 @@ class TestGaussianDecoderParams:
         prec = rho ** 2 / (1 - rho ** 2)
         u = (rho / (1 - rho ** 2)) / (1 + prec.sum(axis=1))[:, None]
         expected = stats.x_mean + stats.x_std * (z_unit @ u.T)
-        assert np.allclose(params.linear(z), expected, atol=1e-10)
+        assert np.allclose(affine_readout(params, z), expected, atol=1e-10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -175,7 +176,7 @@ class TestBinaryDecoderParams:
         params = binary_decoder_params(stats)
         assert params.weights[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert params.bias[0] == pytest.approx(0.0, abs=1e-12)
-        assert sigmoid(params.linear(np.array([[1.0]])))[0, 0] == pytest.approx(0.5)
+        assert sigmoid(affine_readout(params, np.array([[1.0]])))[0, 0] == pytest.approx(0.5)
 
     def test_bayes_reference(self):
         # p(x)=0.5, p(z=1|x=1)=0.8, p(z=1|x=0)=0.2 -> E[xz]=0.4
@@ -184,7 +185,7 @@ class TestBinaryDecoderParams:
         params = binary_decoder_params(stats)
         assert params.weights[0, 0] == pytest.approx(np.log(16), abs=1e-12)
         assert params.bias[0] == pytest.approx(-np.log(4), abs=1e-12)
-        posterior = sigmoid(params.linear(np.array([[1.0]])))[0, 0]
+        posterior = sigmoid(affine_readout(params, np.array([[1.0]])))[0, 0]
         assert posterior == pytest.approx(0.8, abs=1e-12)
 
     def test_deterministic_copy_clamped(self):
@@ -208,7 +209,7 @@ class TestBinaryDecoderParams:
             params = binary_decoder_params(stats)
             for bits in range(2 ** m):
                 z = np.array([(bits >> j) & 1 for j in range(m)], dtype=float)
-                ours = sigmoid(params.linear(z[None, :]))[0, 0]
+                ours = sigmoid(affine_readout(params, z[None, :]))[0, 0]
                 ref = bayes_posterior_binary(px1, q1, q0, z.astype(int))
                 assert ours == pytest.approx(ref, abs=1e-9)
 
@@ -234,10 +235,7 @@ READOUTS = {"binary": binary_decoder_params, "gaussian": gaussian_decoder_params
 
 
 def _same_params(a, b) -> bool:
-    pairs = ((a.weights, b.weights), (a.bias, b.bias), (a.variance, b.variance))
-    return all((x is None and y is None)
-               or (x is not None and y is not None and x.tobytes() == y.tobytes())
-               for x, y in pairs)
+    return a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 class TestReadoutCache:
@@ -323,14 +321,13 @@ class TestRowBlockedReadout:
     def test_gaussian_equals_whole_array_oracle(self):
         x, z = _wide_batch(np.random.default_rng(31))
         stats = gaussian_batch_stats(x, z)
-        rho, weights, bias, variance = gaussian_readout_whole(
+        rho, weights, bias = gaussian_readout_whole(
             stats.x_mean, stats.z_mean, stats.x_sq_mean, stats.z_sq_mean, stats.xz_mean,
-            EPS, STD_FLOOR)
-        assert np.any(np.abs(rho) == 1.0 - EPS)
+            RHO_CLAMP, STD_FLOOR)
+        assert np.any(np.abs(rho) == 1.0 - RHO_CLAMP)
         params = gaussian_decoder_params(stats)
         assert params.weights.tobytes() == weights.tobytes()
         assert params.bias.tobytes() == bias.tobytes()
-        assert params.variance.tobytes() == variance.tobytes()
         assert _rho(stats).tobytes() == rho.tobytes()
 
     def test_row_blocks_cover_in_order(self):

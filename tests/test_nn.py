@@ -27,6 +27,7 @@ from minsyn.nn import (
     softplus,
     train_autoencoder,
 )
+from minsyn.words import synthetic_digits
 
 from _oracles import (
     adam_textbook,
@@ -318,6 +319,14 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train_autoencoder(cfg, data)
+        # A statistics-driven readout gone non-finite aborts through the loss.
+        images, _ = synthetic_digits(60, seed=1)
+        cfg = TrainConfig(epochs=3, batch_size=10, seed=0, lr=1e300,
+                          decoder_kind="minsyn_gaussian",
+                          encoder_spec=((4, "identity"),))
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError, match="epoch 0, batch 1"):
+                train_autoencoder(cfg, images)
 
     def test_dropped_trailing_batch_logged_once_per_run(self, caplog):
         data = np.vstack([self.DATA, self.DATA[:1]])  # 5 samples, batch 2: 5 mod 2 = 1

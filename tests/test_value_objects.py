@@ -1,8 +1,8 @@
-"""Frozen dataclasses that hold numpy arrays compare and hash by identity.
+"""Dataclasses that hold numpy arrays compare and hash by identity.
 
 A generated ``__eq__`` would compare the array fields element-wise and raise
-on their ambiguous truth value, and the generated ``__hash__`` would raise
-on the unhashable arrays.
+on their ambiguous truth value, and the generated ``__hash__`` of a frozen
+class would raise on the unhashable arrays.
 """
 
 import copy
@@ -10,11 +10,13 @@ import copy
 import numpy as np
 import pytest
 
+from minsyn import nn
 from minsyn.checkpoint import parse_checkpoint, dump_checkpoint
 from minsyn.decoder import binary_batch_stats, gaussian_batch_stats
 from minsyn.discrete import DiscreteJoint, ci_decoder_distribution
 from minsyn.gaussian import GaussianSystem, gaussian_ci_posterior
 from minsyn.idx import images_tensor
+from minsyn.nn import DenseLayer, PcaModel, build_autoencoder
 from minsyn.words import build_word_dataset, builtin_glyphs, bundled_letter_grid, bundled_word_list
 
 
@@ -40,6 +42,12 @@ MAKERS = {
     "IdxTensor": lambda: images_tensor(np.zeros((2, 28 * 28))),
     "WordDataset": _word_dataset,
     "Checkpoint": lambda: parse_checkpoint(dump_checkpoint({}, {"a": np.zeros(3)}, {})),
+    "DenseLayer": lambda: DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+    "AutoencoderModel": lambda: build_autoencoder(4, ((2, "sigmoid"),), "learned_linear"),
+    "ForwardCache": lambda: nn._forward_cached(
+        build_autoencoder(4, ((2, "sigmoid"),), "learned_linear"), np.zeros((3, 4)),
+        "eval", nn.NO_REGULARIZER, None),
+    "PcaModel": lambda: PcaModel(np.eye(2, 4), np.zeros(4)),
 }
 
 
