@@ -9,8 +9,12 @@ gradient through z in the decoder's affine form.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -58,18 +62,21 @@ class TrainingDivergedError(RuntimeError):
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic exp(min(v, 0)) / (1 + exp(-|v|)): bit for bit
-    1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) for v < 0, with no
-    branch and no temporaries beyond its two buffers."""
-    v = np.asarray(v, dtype=float)
-    num = np.minimum(v, 0.0, out=np.empty_like(v))
-    np.exp(num, out=num)
-    den = np.abs(v, out=np.empty_like(v))
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    num /= den
-    return num
+    """Overflow-free logistic: bit for bit 1 / (1 + e^-v) for v >= 0 and
+    e^v / (1 + e^v) for v < 0, with one exp per element."""
+    return _sigmoid_and_exp(np.asarray(v, dtype=float))[0]
+
+
+def _sigmoid_and_exp(v: np.ndarray) -> tuple:
+    """(sigmoid(v), t) with t = exp(-|v|): sigmoid(v) = where(v < 0, t, 1)
+    / (1 + t).  t lies in [0, 1], so max(t, v >= 0) is that select without a
+    masked copy.  -|v| is taken as min(v, -v), which keeps a NaN's sign bit."""
+    t = np.negative(v, out=np.empty_like(v))
+    np.minimum(v, t, out=t)
+    np.exp(t, out=t)
+    y = np.maximum(t, v >= 0.0)
+    y /= t + 1.0
+    return y, t
 
 
 def softplus(v: np.ndarray) -> np.ndarray:
@@ -243,6 +250,19 @@ def _readout(stats) -> DecoderParams:
     return gaussian_decoder_params(stats)
 
 
+def _logit_bce_losses(x: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-sample cross entropy of sigmoid(a) against x from the logits a
+    and t = exp(-|a|): the sum over features of log1p(t) + max(a, 0) - x a.
+    It equals the bce of ``sample_losses`` wherever that clamp is inactive,
+    and stays finite and grows like |a| where the clamp would cap it."""
+    terms = np.maximum(a, 0.0)
+    scratch = np.log1p(t)
+    terms += scratch
+    np.multiply(x, a, out=scratch)
+    terms -= scratch
+    return terms.sum(axis=-1)
+
+
 def _check_bce_operand(name: str, arr: np.ndarray) -> None:
     if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
         raise ValueError(f"bce requires {name} in [0, 1]")
@@ -299,6 +319,7 @@ class ForwardCache:
     z: np.ndarray  # latent fed to the decoder
     dropout_mask: np.ndarray | None
     decoder_pre: np.ndarray  # decoder pre-activation
+    decoder_exp: np.ndarray | None  # exp(-|decoder_pre|) of a sigmoid output
     xbar: np.ndarray
     batch_stats: GaussianStats | BinaryStats | None
 
@@ -324,11 +345,13 @@ def _encode(model, x_input, mode, regularizer, rng) -> tuple:
 
 
 def _decode(model, x_target, z, mode):
-    """Returns (xbar, decoder_pre, stats_or_None).
+    """Returns (xbar, decoder_pre, decoder_exp, stats_or_None).
 
     Every decoder is one affine readout (W, b) followed by the kind's output
     activation: the learned layer, the readout of the batch statistics
-    (train) or that of their moving average (eval)."""
+    (train) or that of their moving average (eval).  A sigmoid output also
+    returns the exp(-|a|) it was built from, which the training loss reuses;
+    a linear output returns None there."""
     stats = None
     if model.decoder is not None:
         readout = model.decoder
@@ -340,7 +363,10 @@ def _decode(model, x_target, z, mode):
     else:
         readout = model.decoder_params_from_average()
     a = z @ readout.weights.T + readout.bias
-    return _ACTIVATIONS[DECODER_OUTPUT[model.decoder_kind]][0](a), a, stats
+    if DECODER_OUTPUT[model.decoder_kind] == "identity":
+        return a, a, None, stats
+    xbar, t = _sigmoid_and_exp(a)
+    return xbar, a, t, stats
 
 
 def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
@@ -355,10 +381,10 @@ def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
     if mode == "train" and regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
         x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
     pre, post, z, mask = _encode(model, x_input, mode, regularizer, rng)
-    xbar, dec_pre, stats = _decode(model, x, z, mode)
+    xbar, dec_pre, dec_exp, stats = _decode(model, x, z, mode)
     return ForwardCache(x_input=x_input, pre=pre, post=post, z=z,
-                        dropout_mask=mask, decoder_pre=dec_pre, xbar=xbar,
-                        batch_stats=stats)
+                        dropout_mask=mask, decoder_pre=dec_pre, decoder_exp=dec_exp,
+                        xbar=xbar, batch_stats=stats)
 
 
 def forward(model: AutoencoderModel, x, mode: str = "eval",
@@ -374,16 +400,6 @@ def forward(model: AutoencoderModel, x, mode: str = "eval",
     return cache.z, cache.xbar
 
 
-def _loss_grad_wrt_xbar(x, xbar, kind) -> np.ndarray:
-    b = x.shape[0]
-    if kind == "mse":
-        return 2.0 * (xbar - x) / b
-    xc = np.clip(xbar, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    g = ((1.0 - x) / (1.0 - xc) - x / xc) / b
-    # Where the clamp is active the loss is locally flat in xbar.
-    return np.where(xbar == xc, g, 0.0)
-
-
 def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None,
               regularizer: Regularizer = NO_REGULARIZER):
     """Loss and exact parameter gradients for one training batch.
@@ -392,23 +408,25 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     Minsyn decoder parameters are recomputed from the batch statistics but
     treated as constants: no gradient flows into the statistics, while the
     encoder still receives gradient through z via the affine readout.
+
+    A sigmoid output trains on the cross entropy of its logits a, with no
+    clamp: sum of log1p(exp(-|a|)) + max(a, 0) - x a, whose gradient in a is
+    (xbar - x) / B everywhere.  A linear output trains on the squared error.
     """
     x = np.asarray(x, dtype=float)
+    b = x.shape[0]
     if model.loss_kind == "bce":
         _check_bce_operand("x", x)
     cache = _forward_cached(model, x, "train", regularizer, rng)
-    # Only x is checked: the reconstruction of a bce model is a sigmoid
-    # output, in [0, 1] by construction.
-    loss_value = float(_sample_losses(x, cache.xbar, model.loss_kind).mean())
-    grads = {}
-
-    d_xbar = _loss_grad_wrt_xbar(x, cache.xbar, model.loss_kind)
-    if model.decoder_kind == "minsyn_binary":
-        # The binary readout's trained bytes come from this product order.
-        d_pre = d_xbar * cache.xbar * (1.0 - cache.xbar)
+    if model.loss_kind == "bce":
+        losses = _logit_bce_losses(x, cache.decoder_pre, cache.decoder_exp)
+        d_pre = np.subtract(cache.xbar, x)
+        d_pre /= b
     else:
-        output_grad = _ACTIVATIONS[DECODER_OUTPUT[model.decoder_kind]][1]
-        d_pre = d_xbar * output_grad(cache.decoder_pre, cache.xbar)
+        losses = _sample_losses(x, cache.xbar, "mse")
+        d_pre = 2.0 * (cache.xbar - x) / b
+    loss_value = float(losses.mean())
+    grads = {}
     if model.decoder is None:
         w = _readout(cache.batch_stats).weights
     else:
@@ -489,14 +507,64 @@ class TrainConfig:
                            tuple((int(u), str(a)) for u, a in self.encoder_spec))
 
 
+# (get, set) thread-count entry points: numpy's bundled scipy-openblas, then
+# a plain OpenBLAS.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the OpenBLAS numpy links against, or None, with one
+    warning, when numpy bundles no OpenBLAS that exports them."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(handle, get_name) and hasattr(handle, set_name):
+                get, put = getattr(handle, get_name), getattr(handle, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    log.warning("no OpenBLAS thread control found: training runs on the BLAS "
+                "library's own thread count, and its bytes may depend on it")
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count.
+
+    Multithreaded OpenBLAS products can round differently from the
+    one-thread ones, so a pinned run trains the same bytes at any
+    OPENBLAS_NUM_THREADS."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def train_autoencoder(config: TrainConfig, data) -> tuple:
     """Train on ``data`` (N, n); returns (model, per-epoch mean batch loss).
 
     Deterministic given config.seed: one generator drives initialization,
-    shuffling and regularizer noise in a fixed order.  A trailing batch of a
-    single sample is dropped (batch statistics need at least two); that is
-    logged once per run.
+    shuffling and regularizer noise in a fixed order, and the run holds
+    OpenBLAS to one thread.  A trailing batch of a single sample is dropped
+    (batch statistics need at least two); that is logged once per run.
     """
+    with _one_blas_thread():
+        return _train(config, data)
+
+
+def _train(config: TrainConfig, data) -> tuple:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a non-empty (N, n) matrix")

@@ -301,6 +301,15 @@ def bce_textbook(x: np.ndarray, xbar: np.ndarray, clamp: float) -> float:
     return float(terms.sum(axis=-1).mean())
 
 
+def logit_bce_long_double(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per-row cross entropy of sigmoid(a) against x as a function of the
+    logits, log(1 + e^a) - x a summed over features, in long double (64-bit
+    significand on x86)."""
+    a = np.asarray(a, dtype=np.longdouble)
+    x = np.asarray(x, dtype=np.longdouble)
+    return (np.logaddexp(np.longdouble(0), a) - x * a).sum(axis=-1)
+
+
 def adam_textbook(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """One bias-corrected Adam update written as the formula; returns new
     (p, m, v) and leaves its arguments untouched."""

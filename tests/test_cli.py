@@ -129,6 +129,30 @@ class TestTrain:
         # payloads differ only in the recorded output_dir inside the config
         assert _strip_config(a) == _strip_config(b)
 
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The reference digits shapes (784 -> 3 x 128), where threaded OpenBLAS
+        # products round differently from one-thread ones, cut to two epochs
+        # of 100 images.
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "digits_minsyn_binary.json").read_text())
+        doc["dataset"]["train"] = 100
+        doc["training"]["epochs"] = 2
+        src = str(Path(minsyn.__file__).resolve().parent.parent)
+        blobs = []
+        for threads in ("1", "2"):
+            doc["output_dir"] = str(tmp_path / f"threads{threads}")
+            cfg_dir = tmp_path / f"c{threads}"
+            cfg_dir.mkdir()
+            cfg_path = write_config(cfg_dir, doc)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-m", "minsyn.cli", "train",
+                                   "--config", str(cfg_path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append((Path(doc["output_dir"]) / "checkpoint.msck").read_bytes())
+        assert _strip_config(blobs[0]) == _strip_config(blobs[1])
+
     def test_invalid_config_exits_2(self, tmp_path):
         doc = digits_config(tmp_path)
         doc["surprise"] = True

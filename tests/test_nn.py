@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from minsyn import nn
 from minsyn.nn import (
     BCE_CLAMP,
     DECODER_KINDS,
@@ -33,6 +34,7 @@ from _oracles import (
     adam_textbook,
     bce_textbook,
     finite_difference_gradients,
+    logit_bce_long_double,
     pca_directions_eigh,
     pca_reconstruction_mse,
     pinned_readout_loss,
@@ -106,8 +108,9 @@ class TestForward:
 class TestSigmoid:
     def test_edge_values_match_two_branch_bit_for_bit(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.array_equal(sigmoid(EDGE_VALUES), sigmoid_two_branch(EDGE_VALUES),
-                                  equal_nan=True)
+            # tobytes: a NaN keeps its sign bit too
+            assert sigmoid(EDGE_VALUES).tobytes() == sigmoid_two_branch(EDGE_VALUES).tobytes()
+            assert sigmoid(-EDGE_VALUES).tobytes() == sigmoid_two_branch(-EDGE_VALUES).tobytes()
 
     @pytest.mark.parametrize("shape", [(16, 9), (16, 2352), (100, 128), (7,)])
     def test_random_arrays_match_two_branch_bit_for_bit(self, shape):
@@ -119,6 +122,20 @@ class TestSigmoid:
 
     def test_scalar_input(self):
         assert sigmoid(np.float64(0.0)) == 0.5
+
+    def test_one_exp_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_exp(*args, **kwargs):
+            calls.append(args[0].shape)
+            return exp(*args, **kwargs)
+
+        exp = np.exp
+        v = np.random.default_rng(2).standard_normal((16, 2352)) * 30
+        want = sigmoid_two_branch(v)
+        monkeypatch.setattr(nn.np, "exp", counting_exp)
+        assert sigmoid(v).tobytes() == want.tobytes()
+        assert calls == [v.shape]
 
 
 class TestLoss:
@@ -206,6 +223,80 @@ class TestGradients:
 
         def loss_fn():
             return pinned_readout_loss(model, x, np.random.default_rng(5), reg, readout)
+
+        fd = finite_difference_gradients(loss_fn, model.parameters())
+        for name, g in grads.items():
+            ref = fd[name]
+            denom = np.maximum(np.maximum(np.abs(ref), np.abs(g)), 1e-6)
+            assert np.max(np.abs(ref - g) / denom) <= 1e-4, name
+
+
+def saturated_sigmoid_model(bias):
+    """Identity encoder into a sigmoid decoder whose logits sit near ``bias``."""
+    n = len(bias)
+    enc = DenseLayer(np.eye(n), np.zeros(n), "identity")
+    w = np.random.default_rng(7).standard_normal((n, n)) * 0.5
+    return AutoencoderModel([enc], "learned_sigmoid",
+                            decoder=DenseLayer(w, np.asarray(bias, float), "sigmoid"))
+
+
+class TestLogitSpaceTraining:
+    """The sigmoid-output training loss, taken from the logits a and
+    t = exp(-|a|), and its gradient (sigmoid(a) - x) / B."""
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary-x", "fractional-x"])
+    def test_loss_equals_the_clamped_bce_where_the_clamp_is_inactive(self, binary):
+        rng = np.random.default_rng(21)
+        a = rng.uniform(-15.0, 15.0, (16, 50))
+        a[0, :4] = [15.0, -15.0, 0.0, -0.0]
+        x = (rng.random(a.shape) < 0.3).astype(float) if binary else rng.random(a.shape)
+        xbar, t = nn._sigmoid_and_exp(a)
+        got = nn._logit_bce_losses(x, a, t)
+        exact = logit_bce_long_double(x, a)
+        assert np.all(np.abs(got - exact) <= 1e-14 * exact)
+        # The clamped form is itself off by up to about 4e-12 near |a| = 15:
+        # sigma's rounding error is a relative 3e-10 of 1 - sigma(15).
+        clamped = sample_losses(x, xbar, "bce")
+        assert np.allclose(got, clamped, rtol=1e-11, atol=0.0)
+
+    def test_loss_stays_finite_and_grows_like_the_logit(self):
+        a = np.array([[20.0, -40.0, 100.0, -300.0, 1e3, -1e3]])
+        x = (a < 0).astype(float)  # every output on the wrong side
+        _, t = nn._sigmoid_and_exp(a)
+        per_output = nn._logit_bce_losses(x.T, a.T, t.T)  # one output per row
+        assert np.all(np.isfinite(per_output))
+        assert per_output == pytest.approx(np.abs(a[0]) + np.log1p(np.exp(-np.abs(a[0]))),
+                                           rel=1e-15)
+        # the clamped bce caps each output near -ln(1e-7)
+        assert sample_losses(x, sigmoid(a), "bce")[0] <= a.shape[1] * -np.log(BCE_CLAMP) + 1e-6
+
+    def test_gradient_is_sigmoid_minus_x_with_no_dead_zone(self):
+        model = saturated_sigmoid_model([30.0, -30.0, 25.0, -40.0, 18.0])
+        x = np.random.default_rng(8).random((6, 5))
+        x[:, :2] = [1.0, 0.0]  # on the right side of saturated logits
+        loss_value, grads, _ = gradients(model, x)
+        a = x @ model.decoder.weights.T + model.decoder.bias
+        d_pre = (sigmoid(a) - x) / x.shape[0]
+        assert np.allclose(grads["decoder.bias"], d_pre.sum(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(grads["decoder.weights"], d_pre.T @ x, rtol=1e-12, atol=0.0)
+        assert loss_value == pytest.approx(float(logit_bce_long_double(x, a).mean()), rel=1e-14)
+        clamped = (sigmoid(a) < BCE_CLAMP) | (sigmoid(a) > 1.0 - BCE_CLAMP)
+        assert clamped[:, :2].all()  # where the clamp gave a zero gradient
+        assert np.all(d_pre[clamped] != 0.0)
+
+    @pytest.mark.parametrize("reg", [Regularizer(), Regularizer(kind="dropout", p=0.4)],
+                             ids=lambda r: r.kind)
+    def test_matches_finite_differences_at_saturated_logits(self, reg):
+        model = saturated_sigmoid_model([30.0, -25.0, 35.0, -40.0, 20.0])
+        x = np.random.default_rng(9).random((6, 5))
+        _, grads, _ = gradients(model, x, rng=np.random.default_rng(5), regularizer=reg)
+
+        def loss_fn():
+            z, _ = forward(model, x, mode="train", rng=np.random.default_rng(5),
+                           regularizer=reg)
+            a = z @ model.decoder.weights.T + model.decoder.bias
+            assert np.abs(a).min() > 15.0  # the clamped bce would be flat here
+            return float(logit_bce_long_double(x, a).mean())
 
         fd = finite_difference_gradients(loss_fn, model.parameters())
         for name, g in grads.items():
@@ -337,6 +428,35 @@ class TestTraining:
         dropped = [r for r in caplog.records if "trailing batch" in r.getMessage()]
         assert len(dropped) == 1
         assert model.ma_state.step_count == 6 and len(history) == 3
+
+    def test_blas_thread_count_pinned_while_training_then_restored(self, monkeypatch):
+        calls = nn._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy bundles no OpenBLAS thread control here")
+        get, put = calls
+        seen = []
+
+        def recording_gradients(*args, **kwargs):
+            seen.append(get())
+            return gradients(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "gradients", recording_gradients)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=0, lr=0.01,
+                          decoder_kind="learned_sigmoid", encoder_spec=((3, "sigmoid"),))
+        before = get()
+        try:
+            put(2)
+            train_autoencoder(cfg, self.DATA)
+            assert seen == [1, 1] and get() == 2
+        finally:
+            put(before)
+
+    def test_missing_blas_thread_control_gives_none_and_one_warning(self, monkeypatch,
+                                                                    tmp_path, caplog):
+        monkeypatch.setattr(nn.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        with caplog.at_level(logging.WARNING, logger="minsyn.nn"):
+            assert nn._openblas_thread_calls.__wrapped__() is None
+        assert ["no OpenBLAS thread control" in r.getMessage() for r in caplog.records] == [True]
 
     def test_minsyn_eval_uses_moving_average(self):
         cfg = TrainConfig(epochs=30, batch_size=2, seed=1, lr=0.01,
