@@ -85,6 +85,9 @@ class GaussianStats:
     z_sq_mean: np.ndarray
     xz_mean: np.ndarray  # (n, m) raw E[x_i z_j]
 
+    # The moments with one row per output.
+    PER_OUTPUT_FIELDS = ("x_mean", "x_sq_mean", "xz_mean")
+
     def __post_init__(self):
         for name in ("x_mean", "z_mean", "x_sq_mean", "z_sq_mean", "xz_mean"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -156,6 +159,9 @@ class BinaryStats:
     x_mean: np.ndarray
     z_mean: np.ndarray
     xz_mean: np.ndarray  # (n, m) raw E[x_i z_j]
+
+    # The moments with one row per output.
+    PER_OUTPUT_FIELDS = ("x_mean", "xz_mean")
 
     def __post_init__(self):
         for name in ("x_mean", "z_mean", "xz_mean"):
@@ -274,6 +280,30 @@ def _binary_moments(x, z) -> BinaryStats:
         z_mean=z.mean(axis=0),
         xz_mean=x.T @ z / b,
     )
+
+
+def zero_output_bias() -> float:
+    """Binary readout bias of an output that is 0 in every sample.  Its
+    conditionals fall back to the latent marginals, so its weights and its
+    summed evidence are exactly 0 and its bias is the log-odds of the
+    clamped p(X = 1), whatever the latents."""
+    stats = BinaryStats(x_mean=np.zeros(1), z_mean=np.full(1, 0.5), xz_mean=np.zeros((1, 1)))
+    return float(stats.readout.bias[0])
+
+
+def with_zero_outputs(stats, rows: np.ndarray, n: int):
+    """``stats`` of the outputs ``rows`` out of n, widened to all n: every
+    other output is 0 in every sample, so its per-output moments are
+    exactly 0."""
+    widened = {}
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if f.name in stats.PER_OUTPUT_FIELDS:
+            full = np.zeros((n,) + value.shape[1:])
+            full[rows] = value
+            value = full
+        widened[f.name] = value
+    return type(stats)(**widened)
 
 
 def gaussian_decoder_params(stats: GaussianStats) -> DecoderParams:

@@ -28,6 +28,8 @@ from .decoder import (
     gaussian_batch_stats,
     gaussian_decoder_params,
     update_moving_average,
+    with_zero_outputs,
+    zero_output_bias,
 )
 
 log = logging.getLogger(__name__)
@@ -264,7 +266,8 @@ def _logit_bce_losses(x: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 def _check_bce_operand(name: str, arr: np.ndarray) -> None:
-    if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
+    # Written so that a NaN, whose comparisons are all false, fails it.
+    if not (arr.min() >= -1e-9 and arr.max() <= 1.0 + 1e-9):
         raise ValueError(f"bce requires {name} in [0, 1]")
 
 
@@ -468,8 +471,12 @@ def adam_step(state: AdamState, params: dict, grads: dict):
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch on {name}")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -564,16 +571,62 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
         return _train(config, data)
 
 
+def _live_pixels(config: TrainConfig, data: np.ndarray) -> np.ndarray | None:
+    """The pixels a MinSyn run trains on, or None to train on every pixel.
+
+    A pixel that is zero in every training image is an output no batch
+    supports.  Its readout row has exactly zero weights, its input column
+    gives the encoder exactly zero gradient, so Adam never moves that
+    column, and its statistics stay exactly zero.  So a run trains on the
+    other pixels alone and puts it back afterwards.  Input noise makes such a
+    pixel non-zero, and with no pixel left there is nothing to train on, so
+    those runs keep every pixel."""
+    reg = config.regularizer
+    if config.decoder_kind not in MINSYN_KINDS or (
+            reg.kind == "input_gaussian_noise" and not reg.is_noop):
+        return None
+    n = data.shape[1]
+    live = np.flatnonzero(data.any(axis=0))
+    trimmed = 0 < live.size < n
+    log.info("training on %d of %d pixels; %d are zero in every training image",
+             live.size if trimmed else n, n, n - live.size)
+    return live if trimmed else None
+
+
+def _on_pixels(model: AutoencoderModel, live: np.ndarray) -> AutoencoderModel:
+    """``model`` on the input pixels ``live``: a first encoder layer holding
+    those columns of its weights, and every other parameter array shared."""
+    first = model.encoder[0]
+    layer = DenseLayer(first.weights[:, live], first.bias, first.activation)
+    return AutoencoderModel(encoder=[layer, *model.encoder[1:]],
+                            decoder_kind=model.decoder_kind)
+
+
+def _zero_output_loss(decoder_kind: str) -> float:
+    """Training loss of one MinSyn output that is 0 in every sample: the
+    cross entropy of its bias against a zero target for the binary decoder,
+    and 0 for the Gaussian one, whose readout of it is exactly 0."""
+    if decoder_kind == "minsyn_gaussian":
+        return 0.0
+    a = np.array([zero_output_bias()])
+    return float(_logit_bce_losses(np.zeros(1), a, _sigmoid_and_exp(a)[1]))
+
+
 def _train(config: TrainConfig, data) -> tuple:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a non-empty (N, n) matrix")
-    n_samples = data.shape[0]
-    model = build_autoencoder(data.shape[1], config.encoder_spec,
-                              config.decoder_kind, seed=config.seed)
+    n_samples, n = data.shape
+    model = build_autoencoder(n, config.encoder_spec, config.decoder_kind,
+                              seed=config.seed)
+    live = _live_pixels(config, data)
+    trained, dead_loss = model, 0.0
+    if live is not None:
+        trained, data = _on_pixels(model, live), data[:, live]
+        dead_loss = (n - live.size) * _zero_output_loss(config.decoder_kind)
     rng = np.random.default_rng(config.seed + 1)
     opt = AdamState(lr=config.lr)
-    params = model.parameters()
+    params = trained.parameters()
     history = []
     if config.epochs and n_samples % config.batch_size == 1:
         log.info("dropping the trailing batch of one sample in each of the %d epochs",
@@ -586,15 +639,21 @@ def _train(config: TrainConfig, data) -> tuple:
             if idx.size == 1:
                 continue
             batch = data[idx]
-            loss_value, grads, stats = gradients(model, batch, rng=rng,
+            loss_value, grads, stats = gradients(trained, batch, rng=rng,
                                                  regularizer=config.regularizer)
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, start // config.batch_size)
             adam_step(opt, params, grads)
             if stats is not None:
-                model.ma_state = update_moving_average(model.ma_state, stats)
-            batch_losses.append(loss_value)
+                trained.ma_state = update_moving_average(trained.ma_state, stats)
+            batch_losses.append(loss_value + dead_loss)
         history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+    if live is not None:
+        model.encoder[0].weights[:, live] = trained.encoder[0].weights
+        ma = trained.ma_state
+        if ma.stats is not None:
+            model.ma_state = MovingAverageState(with_zero_outputs(ma.stats, live, n),
+                                                ma.step_count)
     return model, history
 
 

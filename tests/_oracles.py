@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own computation paths:
 quadrature and Monte-Carlo for the Gaussian quantities, literal loops over
 configurations for the discrete ones, finite differences for gradients.
-The one exception is the loss those differences are taken of, which runs
-the library's own encoder with the decoder readout pinned.
+Two exceptions run the library's own steps: the loss those differences are
+taken of, which runs the encoder with the decoder readout pinned, and
+``train_full_width``, the training loop over every pixel.
 """
 
 import itertools
@@ -417,3 +418,36 @@ def synergy_curve_rows(rho1: float, rho2: float, sigma12, scale: float = 1.0) ->
         mi, _, gk, ci = closed_form_measures(rho, sigma)
         rows.append((float(s12), scale * mi, scale * union, scale * gk, scale * ci))
     return rows
+
+
+def train_full_width(config, data) -> tuple:
+    """``nn.train_autoencoder`` on every pixel, with no pixel left out:
+    (model, per-epoch mean batch loss), through the library's own step,
+    Adam update and moving average, on one BLAS thread."""
+    with nn._one_blas_thread():
+        data = np.asarray(data, dtype=float)
+        n_samples = data.shape[0]
+        model = nn.build_autoencoder(data.shape[1], config.encoder_spec,
+                                     config.decoder_kind, seed=config.seed)
+        rng = np.random.default_rng(config.seed + 1)
+        opt = nn.AdamState(lr=config.lr)
+        params = model.parameters()
+        history = []
+        for epoch in range(config.epochs):
+            order = rng.permutation(n_samples)
+            batch_losses = []
+            for start in range(0, n_samples, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                if idx.size == 1:
+                    continue
+                batch = data[idx]
+                loss_value, grads, stats = nn.gradients(model, batch, rng=rng,
+                                                        regularizer=config.regularizer)
+                if not np.isfinite(loss_value):
+                    raise nn.TrainingDivergedError(epoch, start // config.batch_size)
+                nn.adam_step(opt, params, grads)
+                if stats is not None:
+                    model.ma_state = nn.update_moving_average(model.ma_state, stats)
+                batch_losses.append(loss_value)
+            history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+    return model, history

@@ -313,6 +313,27 @@ class TestEval:
                      "--images", str(self._digit_images(tmp_path))]) == 3
         assert "readout is not finite" in capsys.readouterr().err
 
+    def test_checkpoint_trained_on_the_inked_pixels_evaluates_full_images(self, tmp_path):
+        doc = digits_config(tmp_path, name="inked")
+        train, _ = synthetic_digits(doc["dataset"]["train"], seed=doc["dataset"]["seed"])
+        blank = ~train.any(axis=0)
+        assert blank.any()
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 0
+        path = Path(doc["output_dir"]) / "checkpoint.msck"
+        ckpt = load_checkpoint(path)
+        assert ckpt.arrays["encoder.0.weights"].shape == (6, 784)
+        assert ckpt.arrays["ma.xz_mean"].shape == (784, 6)
+        imgs, _ = synthetic_digits(6, seed=3)
+        imgs[0, blank] = 1.0  # ink the pixels no training image inks
+        images = tmp_path / "inked.idx"
+        write_idx_file(images, images_tensor(imgs))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--checkpoint", str(path), "--images", str(images),
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
+
     def test_missing_checkpoint_exits_3(self, tmp_path):
         images = self._digit_images(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "no.msck"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minsyn import nn
+from minsyn.checkpoint import model_arrays
 from minsyn.nn import (
     BCE_CLAMP,
     DECODER_KINDS,
@@ -39,6 +40,7 @@ from _oracles import (
     pca_reconstruction_mse,
     pinned_readout_loss,
     sigmoid_two_branch,
+    train_full_width,
 )
 
 EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -162,6 +164,12 @@ class TestLoss:
     def test_bce_domain(self):
         with pytest.raises(ValueError, match="bce"):
             loss(np.array([[1.5]]), np.array([[0.5]]), "bce")
+
+    def test_bce_rejects_nan(self):
+        with pytest.raises(ValueError, match="bce requires x in"):
+            sample_losses(np.array([[0.5, np.nan]]), np.array([[0.5, 0.5]]), "bce")
+        with pytest.raises(ValueError, match="bce requires xbar in"):
+            sample_losses(np.array([[0.5, 0.5]]), np.array([[np.nan, 0.5]]), "bce")
 
     def test_bce_reconstruction_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="bce requires xbar"):
@@ -350,6 +358,21 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
 
+    def test_moments_allocated_on_first_use_only(self, monkeypatch):
+        zeros_like = np.zeros_like
+        calls = []
+
+        def counting_zeros_like(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return zeros_like(a, *args, **kwargs)
+
+        monkeypatch.setattr(nn.np, "zeros_like", counting_zeros_like)
+        params = {"w": np.ones((3, 2)), "b": np.ones(3)}
+        state = AdamState(lr=0.01)
+        for _ in range(5):
+            adam_step(state, params, {"w": np.full((3, 2), 0.5), "b": np.full(3, -0.5)})
+        assert sorted(calls) == [(3,), (3,), (3, 2), (3, 2)]
+
     def test_matches_textbook_bit_for_bit_over_steps(self):
         rng = np.random.default_rng(18)
         shapes = {"w": (9, 40), "b": (9,)}
@@ -466,6 +489,82 @@ class TestTraining:
         assert model.ma_state.step_count == 60
         _, xbar = forward(model, self.DATA, mode="eval")
         assert xbar.shape == self.DATA.shape
+
+
+def _with_blank_columns(data, at):
+    """``data`` with all-zero columns inserted before the columns ``at``."""
+    return np.insert(data, at, 0.0, axis=1)
+
+
+def _trained_and_oracle(cfg, data):
+    model, history = train_autoencoder(cfg, data)
+    ref, ref_history = train_full_width(cfg, data)
+    return model_arrays(model, history)[0], history, model_arrays(ref, ref_history)[0], ref_history
+
+
+class TestPixelTrimming:
+    """MinSyn runs train on the pixels some training image inks, then put the
+    blank ones back; ``train_full_width`` is the run over every pixel."""
+
+    LIVE = (np.random.default_rng(21).random((30, 12)) < 0.4).astype(float)
+    BLANK_AT = [0, 5, 5, 9, 12]
+    PER_OUTPUT = {"minsyn_binary": ("ma.x_mean", "ma.xz_mean"),
+                  "minsyn_gaussian": ("ma.x_mean", "ma.x_sq_mean", "ma.xz_mean")}
+
+    @pytest.mark.parametrize("decoder_kind,activation", [("minsyn_binary", "sigmoid"),
+                                                         ("minsyn_gaussian", "softplus")])
+    def test_blank_pixels_restored_as_full_width_training_leaves_them(self, decoder_kind,
+                                                                       activation):
+        data = _with_blank_columns(self.LIVE, self.BLANK_AT)
+        dead = ~data.any(axis=0)
+        assert dead.sum() == len(self.BLANK_AT)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=4, lr=0.01, decoder_kind=decoder_kind,
+                          encoder_spec=((5, activation), (3, "sigmoid")))
+        arrays, history, ref_arrays, ref_history = _trained_and_oracle(cfg, data)
+        assert sorted(arrays) == sorted(ref_arrays)
+        for key, ref in ref_arrays.items():
+            assert arrays[key].shape == ref.shape, key
+            np.testing.assert_allclose(arrays[key], ref, rtol=1e-9, atol=0, err_msg=key)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-9, atol=0)
+        assert (arrays["encoder.0.weights"][:, dead].tobytes()
+                == ref_arrays["encoder.0.weights"][:, dead].tobytes())
+        init = build_autoencoder(data.shape[1], cfg.encoder_spec, decoder_kind, seed=4)
+        assert (arrays["encoder.0.weights"][:, dead].tobytes()
+                == init.encoder[0].weights[:, dead].tobytes())
+        for key in self.PER_OUTPUT[decoder_kind]:
+            assert arrays[key][dead].tobytes() == ref_arrays[key][dead].tobytes(), key
+            assert not arrays[key][dead].any(), key
+
+    @pytest.mark.parametrize("case", ["no_blank_pixels", "input_noise", "learned_decoder",
+                                      "all_zero"])
+    def test_untrimmed_runs_are_the_full_width_run_bit_for_bit(self, case):
+        data = _with_blank_columns(self.LIVE, self.BLANK_AT)
+        kind, reg = "minsyn_binary", Regularizer()
+        if case == "no_blank_pixels":
+            data = self.LIVE
+            assert data.any(axis=0).all()
+        elif case == "input_noise":
+            kind, reg = "minsyn_gaussian", Regularizer(kind="input_gaussian_noise", sigma=0.2)
+        elif case == "learned_decoder":
+            kind = "learned_sigmoid"
+        else:
+            data = np.zeros_like(data)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=4, lr=0.01, decoder_kind=kind,
+                          encoder_spec=((4, "sigmoid"),), regularizer=reg)
+        arrays, history, ref_arrays, ref_history = _trained_and_oracle(cfg, data)
+        assert history == ref_history
+        assert sorted(arrays) == sorted(ref_arrays)
+        for key, ref in ref_arrays.items():
+            assert arrays[key].tobytes() == ref.tobytes(), key
+
+    def test_pixel_count_logged_once_per_run(self, caplog):
+        data = _with_blank_columns(self.LIVE, self.BLANK_AT)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=4, lr=0.01,
+                          decoder_kind="minsyn_binary", encoder_spec=((4, "sigmoid"),))
+        with caplog.at_level(logging.INFO, logger="minsyn.nn"):
+            train_autoencoder(cfg, data)
+        counts = [r.getMessage() for r in caplog.records if "pixels" in r.getMessage()]
+        assert counts == ["training on 12 of 17 pixels; 5 are zero in every training image"]
 
 
 class TestPca:
