@@ -57,13 +57,23 @@ def dump_checkpoint(config: dict, arrays: dict, meta: dict) -> bytes:
 def parse_checkpoint(data: bytes) -> Checkpoint:
     if data[:8] != MAGIC:
         raise ValueError("not a checkpoint: bad magic")
+    if len(data) < 16:
+        raise ValueError("checkpoint truncated in its header length")
     (hlen,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + hlen].decode())
+    if not (isinstance(header, dict)
+            and all(isinstance(header.get(k), dict) for k in ("config", "meta"))):
+        raise ValueError("checkpoint header is not a JSON object with config and meta objects")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+    if not isinstance(header.get("arrays"), list):
+        raise ValueError("checkpoint header lists no arrays")
     arrays = {}
     offset = 16 + hlen
     for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)):
+            raise ValueError(f"checkpoint array entry {entry!r} needs a name and a list shape")
         shape = tuple(entry["shape"])
         if not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"invalid shape {entry['shape']!r} for array {entry['name']!r}")
@@ -96,8 +106,6 @@ def model_arrays(model, history) -> tuple:
         arrays["pca.components"] = model.components
         arrays["pca.mean"] = model.mean
         return arrays, meta
-    if not isinstance(model, AutoencoderModel):
-        raise TypeError(f"cannot checkpoint {type(model).__name__}")
     meta["model_kind"] = "autoencoder"
     meta["decoder_kind"] = model.decoder_kind
     meta["encoder_activations"] = [layer.activation for layer in model.encoder]

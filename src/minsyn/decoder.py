@@ -257,28 +257,15 @@ def gaussian_batch_stats(x_batch, z_batch) -> GaussianStats:
 
 
 def binary_batch_stats(x_batch, z_batch) -> BinaryStats:
-    """Raw Bernoulli moments of a batch whose entries live in [0, 1]."""
-    x, z = _batch_pair(x_batch, z_batch)
-    for name, arr in (("x_batch", x), ("z_batch", z)):
-        if arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
-            raise ValueError(f"{name} entries must lie in [0, 1] to be read as probabilities")
-    return _binary_moments(x, z)
-
-
-def clipped_binary_batch_stats(x_batch, z_batch) -> BinaryStats:
     """Raw Bernoulli moments of a batch after clipping its entries into
-    [0, 1], the reading a training step takes when regularizer noise has
-    pushed latents out of range.  The clipped entries need no range check."""
+    [0, 1], so latents that regularizer noise pushed out of range are read
+    as probabilities."""
     x, z = _batch_pair(x_batch, z_batch)
-    return _binary_moments(np.clip(x, 0.0, 1.0), np.clip(z, 0.0, 1.0))
-
-
-def _binary_moments(x, z) -> BinaryStats:
-    b = x.shape[0]
+    x, z = np.clip(x, 0.0, 1.0), np.clip(z, 0.0, 1.0)
     return BinaryStats(
         x_mean=x.mean(axis=0),
         z_mean=z.mean(axis=0),
-        xz_mean=x.T @ z / b,
+        xz_mean=x.T @ z / x.shape[0],
     )
 
 

@@ -126,13 +126,6 @@ class DiscreteJoint:
     def _single_mis(self) -> tuple:
         return tuple(_table_mi(p_jx) for p_jx in self._pair_marginals)
 
-    def x_marginal(self) -> np.ndarray:
-        return self._x_marginal.copy()
-
-    def z_marginal(self) -> np.ndarray:
-        """Joint distribution of the latents with X summed out."""
-        return self._z_marginal.copy()
-
     def marginal(self, axes) -> np.ndarray:
         """Marginal over the given axes (latents by index, target = m)."""
         keep = sorted(set(axes))

@@ -56,13 +56,6 @@ class Interval:
         if not (self.lo <= self.hi):
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _joint_stack(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(k, m+1, m+1) joint correlation matrices of k systems."""

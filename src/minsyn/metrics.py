@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import row_blocks
-from .nn import AutoencoderModel, PcaModel, forward, sample_losses
+from .nn import sample_losses
 
 log = logging.getLogger(__name__)
 
@@ -53,16 +53,6 @@ def acc_score(decoder_weights, char_layout, num_slots: int | None = None) -> flo
     return float(ent.mean())
 
 
-def reconstruct(model, x) -> np.ndarray:
-    """Eval-mode reconstruction for either autoencoders or PCA models."""
-    if isinstance(model, PcaModel):
-        return model.reconstruct(x)
-    if isinstance(model, AutoencoderModel):
-        _, xbar = forward(model, x, mode="eval")
-        return xbar
-    raise TypeError(f"cannot reconstruct with {type(model).__name__}")
-
-
 # float64 rows of n entries that scoring keeps live per image: the input,
 # its reconstruction, the target and the loss terms.
 _SCORE_ROW_FLOATS = 4
@@ -77,15 +67,7 @@ _SMALL_PRODUCT = 100 ** 3
 
 def _min_block_rows(model) -> int:
     """Fewest rows that take every product of the model above _SMALL_PRODUCT."""
-    if isinstance(model, PcaModel):
-        k, n = model.components.shape
-        products = [n * k]
-    elif isinstance(model, AutoencoderModel):
-        products = [layer.fan_in * layer.fan_out for layer in model.encoder]
-        products.append(model.latent_dim * model.input_dim)
-    else:
-        raise TypeError(f"cannot reconstruct with {type(model).__name__}")
-    return max(_SMALL_PRODUCT // p + 1 for p in products)
+    return max(_SMALL_PRODUCT // p + 1 for p in model.product_sizes)
 
 
 def _score_blocks(model, x: np.ndarray) -> list:
@@ -102,7 +84,7 @@ def reconstruction_loss(model, x, kind: str, target=None) -> float:
     no temporary grows with N (past the smallest block that keeps the BLAS
     on its large-matrix kernel); every image's loss depends on its own row
     alone, so the result is bit for bit that of ``loss(target,
-    reconstruct(model, x), kind)``.
+    model.reconstruct(x), kind)``.
     """
     x = np.asarray(x, dtype=float)
     target = x if target is None else np.asarray(target, dtype=float)
@@ -111,7 +93,7 @@ def reconstruction_loss(model, x, kind: str, target=None) -> float:
                          f"got {x.shape} and {target.shape}")
     per_sample = np.empty(x.shape[0])
     for rows in _score_blocks(model, x):
-        per_sample[rows] = sample_losses(target[rows], reconstruct(model, x[rows]), kind)
+        per_sample[rows] = sample_losses(target[rows], model.reconstruct(x[rows]), kind)
     return float(per_sample.mean())
 
 

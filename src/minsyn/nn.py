@@ -23,8 +23,8 @@ from .decoder import (
     DecoderParams,
     GaussianStats,
     MovingAverageState,
+    binary_batch_stats,
     binary_decoder_params,
-    clipped_binary_batch_stats,
     gaussian_batch_stats,
     gaussian_decoder_params,
     update_moving_average,
@@ -196,6 +196,17 @@ class AutoencoderModel:
     def latent_dim(self) -> int:
         return self.encoder[-1].fan_out
 
+    @property
+    def product_sizes(self) -> tuple:
+        """Multiply-adds per image of each matrix product of a reconstruction:
+        one per encoder layer, then the decoder's."""
+        return (*(layer.weights.size for layer in self.encoder),
+                self.latent_dim * self.input_dim)
+
+    def reconstruct(self, x) -> np.ndarray:
+        """Eval-mode reconstruction of the images x (N, n)."""
+        return forward(self, x)[1]
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable parameters keyed by path; views, not copies."""
         params = {}
@@ -276,12 +287,14 @@ def sample_losses(x: np.ndarray, xbar: np.ndarray, kind: str) -> np.ndarray:
 
     ``bce`` expects both arguments in [0, 1] and clamps the reconstruction to
     [1e-7, 1 - 1e-7]; ``mse`` is the plain squared error.  A sample's loss
-    depends on its own row alone.
+    depends on its own row alone.  An empty batch is rejected.
     """
     x = np.asarray(x, dtype=float)
     xb = np.asarray(xbar, dtype=float)
     if x.shape != xb.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {xb.shape}")
+    if x.size == 0:
+        raise ValueError(f"cannot score an empty batch of shape {x.shape}")
     if kind == "bce":
         _check_bce_operand("x", x)
         _check_bce_operand("xbar", xb)
@@ -359,7 +372,7 @@ def _decode(model, x_target, z, mode):
     if model.decoder is not None:
         readout = model.decoder
     elif mode == "train":
-        batch_stats = (clipped_binary_batch_stats if model.decoder_kind == "minsyn_binary"
+        batch_stats = (binary_batch_stats if model.decoder_kind == "minsyn_binary"
                        else gaussian_batch_stats)
         stats = batch_stats(x_target, z)
         readout = _readout(stats)
@@ -689,6 +702,12 @@ class PcaModel:
 
     components: np.ndarray  # (k, n)
     mean: np.ndarray  # (n,)
+
+    @property
+    def product_sizes(self) -> tuple:
+        """Multiply-adds per image of the matrix products of a
+        reconstruction: the projection and its way back take the same."""
+        return (self.components.size,)
 
     def reconstruct(self, x) -> np.ndarray:
         xc = np.asarray(x, dtype=float) - self.mean

@@ -247,6 +247,10 @@ def _strip_config(blob: bytes) -> bytes:
     return json.dumps(header, sort_keys=True).encode() + blob[16 + hlen:]
 
 
+def _checkpoint_blob(header: bytes) -> bytes:
+    return b"MSYNCKPT" + struct.pack("<Q", len(header)) + header
+
+
 class TestEval:
     def _identity_checkpoint(self, tmp_path, n=784):
         model = build_autoencoder(n, ((n, "identity"),), "learned_linear", seed=0)
@@ -312,6 +316,21 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(path),
                      "--images", str(self._digit_images(tmp_path))]) == 3
         assert "readout is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", [
+        b"MSYNCKPT\x01",
+        _checkpoint_blob(b"[]"),
+        _checkpoint_blob(b'{"arrays":[],"config":{},"meta":[],"version":1}'),
+        _checkpoint_blob(b'{"arrays":[{"shape":[1]}],"config":{},"meta":{},"version":1}'),
+        _checkpoint_blob(b'{"arrays":[{"name":"a","shape":1}],"config":{},"meta":{},"version":1}'),
+    ], ids=["short_header_length", "header_not_an_object", "meta_not_an_object",
+            "entry_without_name", "shape_not_a_list"])
+    def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.msck"
+        path.write_bytes(blob)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--images", str(self._digit_images(tmp_path))]) == 3
+        assert "data error:" in capsys.readouterr().err
 
     def test_checkpoint_trained_on_the_inked_pixels_evaluates_full_images(self, tmp_path):
         doc = digits_config(tmp_path, name="inked")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from minsyn import metrics
-from minsyn.metrics import (acc_score, build_report, reconstruct, reconstruction_loss,
-                            reconstruction_losses)
+from minsyn.metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
 from minsyn.nn import PcaModel, TrainConfig, loss, pca_fit, train_autoencoder
 from minsyn.noise import apply_noise
 from minsyn.words import (build_word_dataset, builtin_glyphs, bundled_letter_grid,
@@ -136,9 +135,9 @@ def _score_blocks(model, n_images):
 def _assert_blockwise_reconstruction(model, x):
     """Each scoring block reconstructs to the bytes of its rows in one
     whole-batch pass."""
-    whole = reconstruct(model, x)
+    whole = model.reconstruct(x)
     for rows in metrics._score_blocks(model, x):
-        assert reconstruct(model, x[rows]).tobytes() == whole[rows].tobytes(), rows
+        assert model.reconstruct(x[rows]).tobytes() == whole[rows].tobytes(), rows
 
 
 class TestReconstructionLoss:
@@ -147,6 +146,12 @@ class TestReconstructionLoss:
     CASES = [("minsyn_binary", "bce"), ("minsyn_binary", "mse"),
              ("learned_sigmoid", "bce"), ("learned_sigmoid", "mse"),
              ("minsyn_gaussian", "mse"), ("pca", "mse")]
+
+    def test_block_floors(self, digit_models):
+        # 10^6 // (784 * 16) + 1 for PCA, 10^6 // (784 * 32) + 1 for the rest
+        floors = {kind: metrics._min_block_rows(model) for kind, model in digit_models.items()}
+        assert floors == {"pca": 80, "minsyn_binary": 40, "minsyn_gaussian": 40,
+                          "learned_sigmoid": 40}
 
     @pytest.mark.parametrize("kind,loss_kind", CASES)
     @pytest.mark.parametrize("shape", ["below_one_block", "exact_multiple",
@@ -163,10 +168,10 @@ class TestReconstructionLoss:
         x, _ = synthetic_digits(n_images, seed=4)
         _assert_blockwise_reconstruction(model, x)
         assert reconstruction_loss(model, x, loss_kind) == loss(
-            x, reconstruct(model, x), loss_kind)
+            x, model.reconstruct(x), loss_kind)
         corrupted = apply_noise(x, "bottom_half", seed=5)
         assert reconstruction_loss(model, corrupted, loss_kind, target=x) == loss(
-            x, reconstruct(model, corrupted), loss_kind)
+            x, model.reconstruct(corrupted), loss_kind)
 
     @pytest.mark.parametrize("kind,loss_kind", [("learned_sigmoid", "bce"),
                                                 ("learned_sigmoid", "mse"), ("pca", "mse")])
@@ -182,11 +187,12 @@ class TestReconstructionLoss:
             cfg = TrainConfig(epochs=20, batch_size=16, seed=0, lr=0.001,
                               decoder_kind=kind, encoder_spec=((9, "softplus"),))
             model, _ = train_autoencoder(cfg, words.train_images)
+        assert metrics._min_block_rows(model) == 48  # 10^6 // (2352 * 9) + 1
         for split in (words.train_images, words.test_images):
             assert len(metrics._score_blocks(model, split)) > 1
             _assert_blockwise_reconstruction(model, split)
             assert reconstruction_loss(model, split, loss_kind) == loss(
-                split, reconstruct(model, split), loss_kind)
+                split, model.reconstruct(split), loss_kind)
 
     def test_no_temporary_grows_with_the_batch(self, digit_models):
         model = digit_models["minsyn_binary"]
@@ -198,7 +204,7 @@ class TestReconstructionLoss:
             reconstruction_loss(model, x, "bce")
             _, blocked_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            loss(x, reconstruct(model, x), "bce")
+            loss(x, model.reconstruct(x), "bce")
             _, whole_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -178,6 +178,11 @@ class TestLoss:
             sample_losses(np.array([[0.5]]), np.array([[-0.5]]), "bce")
 
     @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_empty_batch_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"empty batch of shape \(0, 3\)"):
+            sample_losses(np.zeros((0, 3)), np.zeros((0, 3)), kind)
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
     def test_loss_is_the_mean_of_row_independent_sample_losses(self, kind):
         rng = np.random.default_rng(5)
         x, xbar = rng.random((9, 40)), rng.random((9, 40))
