@@ -18,8 +18,8 @@ The script prints, one fact per line:
   `to_text()` and of the bytes of `from_text(to_text()).probs`;
 - each checkpoint's `meta` as sorted JSON, the SHA-256 of every
   checkpoint array and of history.csv;
-- for MinSyn configs, how many pixels some training image inks: MinSyn
-  training runs on those alone;
+- for MinSyn configs, how many groups of pixels with equal training
+  columns there are: MinSyn training runs one pixel per group;
 - for MinSyn models, the SHA-256 of the moving-average readout's weights
   and bias;
 - for word models, the report losses (train and test, mse) and acc;
@@ -102,8 +102,9 @@ def digest(name: str, config_path: Path, eval_images: Path):
         yield f"{name} array {key} {array_sha(array)}"
     yield f"{name} history.csv {sha((run_dir / 'history.csv').read_bytes())}"
     if cfg.train is not None and cfg.train.decoder_kind in MINSYN_KINDS:
-        inked = cli.load_experiment_data(cfg).any(axis=0)
-        yield f"{name} pixels inked {int(inked.sum())} of {inked.size}"
+        columns = cli.load_experiment_data(cfg).T
+        groups = len({column.tobytes() for column in columns})
+        yield f"{name} pixel groups {groups} of {len(columns)}"
     model = restore_model(ckpt)
     if getattr(model, "decoder_kind", None) in MINSYN_KINDS:
         readout = model.decoder_params_from_average()

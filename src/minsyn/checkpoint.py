@@ -133,17 +133,29 @@ def _kind_meta(kind: str) -> dict:
     return {"decoder_activation": DECODER_OUTPUT[kind]}
 
 
+def _meta_entry(meta: dict, key: str, kind: type, item: type | None = None):
+    """``meta[key]``, which must be a ``kind`` (a list of ``item`` entries
+    when ``item`` is given); otherwise a ValueError names the key."""
+    value = meta.get(key)
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or (item is not None and not all(isinstance(v, item) for v in value))):
+        of = f" of {item.__name__}" if item is not None else ""
+        raise ValueError(f"checkpoint meta {key} must be a {kind.__name__}{of}, "
+                         f"not {value!r}")
+    return value
+
+
 def restore_model(ckpt: Checkpoint):
     """Rebuild the Python model object from a parsed checkpoint."""
     meta, arrays = ckpt.meta, ckpt.arrays
-    if meta["model_kind"] == "pca":
+    if _meta_entry(meta, "model_kind", str) == "pca":
         return PcaModel(components=arrays["pca.components"], mean=arrays["pca.mean"])
     layers = []
-    for i, activation in enumerate(meta["encoder_activations"]):
+    for i, activation in enumerate(_meta_entry(meta, "encoder_activations", list, str)):
         layers.append(DenseLayer(weights=arrays[f"encoder.{i}.weights"],
                                  bias=arrays[f"encoder.{i}.bias"],
                                  activation=activation))
-    decoder_kind = meta["decoder_kind"]
+    decoder_kind = _meta_entry(meta, "decoder_kind", str)
     for key, value in _kind_meta(decoder_kind).items():
         if meta.get(key) != value:
             raise ValueError(f"checkpoint {key} {meta.get(key)!r} does not match "
@@ -151,7 +163,8 @@ def restore_model(ckpt: Checkpoint):
     if decoder_kind in MINSYN_STATS:
         cls = MINSYN_STATS[decoder_kind]
         stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
-        ma = MovingAverageState(stats=stats, step_count=int(meta["ma_step_count"]))
+        ma = MovingAverageState(stats=stats,
+                                step_count=_meta_entry(meta, "ma_step_count", int))
         model = AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)
         readout = model.decoder_params_from_average()  # cached: evaluation reuses it
         if not (np.isfinite(readout.weights).all() and np.isfinite(readout.bias).all()):

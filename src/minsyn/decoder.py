@@ -269,27 +269,14 @@ def binary_batch_stats(x_batch, z_batch) -> BinaryStats:
     )
 
 
-def zero_output_bias() -> float:
-    """Binary readout bias of an output that is 0 in every sample.  Its
-    conditionals fall back to the latent marginals, so its weights and its
-    summed evidence are exactly 0 and its bias is the log-odds of the
-    clamped p(X = 1), whatever the latents."""
-    stats = BinaryStats(x_mean=np.zeros(1), z_mean=np.full(1, 0.5), xz_mean=np.zeros((1, 1)))
-    return float(stats.readout.bias[0])
-
-
-def with_zero_outputs(stats, rows: np.ndarray, n: int):
-    """``stats`` of the outputs ``rows`` out of n, widened to all n: every
-    other output is 0 in every sample, so its per-output moments are
-    exactly 0."""
+def widen_outputs(stats, group: np.ndarray):
+    """``stats`` of one output per group of equal outputs, widened to every
+    output: output i gets the per-output moments of its group ``group[i]``,
+    as the statistics of the full batch would give it."""
     widened = {}
     for f in dataclasses.fields(stats):
         value = getattr(stats, f.name)
-        if f.name in stats.PER_OUTPUT_FIELDS:
-            full = np.zeros((n,) + value.shape[1:])
-            full[rows] = value
-            value = full
-        widened[f.name] = value
+        widened[f.name] = value[group] if f.name in stats.PER_OUTPUT_FIELDS else value
     return type(stats)(**widened)
 
 

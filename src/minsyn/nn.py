@@ -28,8 +28,7 @@ from .decoder import (
     gaussian_batch_stats,
     gaussian_decoder_params,
     update_moving_average,
-    with_zero_outputs,
-    zero_output_bias,
+    widen_outputs,
 )
 
 log = logging.getLogger(__name__)
@@ -263,17 +262,25 @@ def _readout(stats) -> DecoderParams:
     return gaussian_decoder_params(stats)
 
 
-def _logit_bce_losses(x: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _feature_sums(terms: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Per-sample sums over the features of loss terms (B, n), each feature
+    counted ``weights[i]`` times when weights (n,) are given."""
+    return terms.sum(axis=-1) if weights is None else terms @ weights
+
+
+def _logit_bce_losses(x: np.ndarray, a: np.ndarray, t: np.ndarray,
+                      weights: np.ndarray | None = None) -> np.ndarray:
     """Per-sample cross entropy of sigmoid(a) against x from the logits a
-    and t = exp(-|a|): the sum over features of log1p(t) + max(a, 0) - x a.
-    It equals the bce of ``sample_losses`` wherever that clamp is inactive,
-    and stays finite and grows like |a| where the clamp would cap it."""
+    and t = exp(-|a|): the sum over features of log1p(t) + max(a, 0) - x a,
+    weighted as ``_feature_sums`` weights it.  It equals the bce of
+    ``sample_losses`` wherever that clamp is inactive, and stays finite and
+    grows like |a| where the clamp would cap it."""
     terms = np.maximum(a, 0.0)
     scratch = np.log1p(t)
     terms += scratch
     np.multiply(x, a, out=scratch)
     terms -= scratch
-    return terms.sum(axis=-1)
+    return _feature_sums(terms, weights)
 
 
 def _check_bce_operand(name: str, arr: np.ndarray) -> None:
@@ -417,7 +424,8 @@ def forward(model: AutoencoderModel, x, mode: str = "eval",
 
 
 def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None,
-              regularizer: Regularizer = NO_REGULARIZER):
+              regularizer: Regularizer = NO_REGULARIZER,
+              output_weights: np.ndarray | None = None):
     """Loss and exact parameter gradients for one training batch.
 
     Returns (loss_value, grads keyed like model.parameters(), batch_stats).
@@ -428,6 +436,10 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     A sigmoid output trains on the cross entropy of its logits a, with no
     clamp: sum of log1p(exp(-|a|)) + max(a, 0) - x a, whose gradient in a is
     (xbar - x) / B everywhere.  A linear output trains on the squared error.
+
+    ``output_weights`` (n,) counts output i's loss term that many times, as
+    if the batch held that many copies of its column: a MinSyn run trains
+    one output per group of equal pixels, weighted by the group's size.
     """
     x = np.asarray(x, dtype=float)
     b = x.shape[0]
@@ -435,12 +447,14 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
         _check_bce_operand("x", x)
     cache = _forward_cached(model, x, "train", regularizer, rng)
     if model.loss_kind == "bce":
-        losses = _logit_bce_losses(x, cache.decoder_pre, cache.decoder_exp)
+        losses = _logit_bce_losses(x, cache.decoder_pre, cache.decoder_exp, output_weights)
         d_pre = np.subtract(cache.xbar, x)
         d_pre /= b
     else:
-        losses = _sample_losses(x, cache.xbar, "mse")
+        losses = _feature_sums((x - cache.xbar) ** 2, output_weights)
         d_pre = 2.0 * (cache.xbar - x) / b
+    if output_weights is not None:
+        d_pre *= output_weights
     loss_value = float(losses.mean())
     grads = {}
     if model.decoder is None:
@@ -584,62 +598,66 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
         return _train(config, data)
 
 
-def _live_pixels(config: TrainConfig, data: np.ndarray) -> np.ndarray | None:
-    """The pixels a MinSyn run trains on, or None to train on every pixel.
+def _pixel_groups(config: TrainConfig, data: np.ndarray) -> tuple | None:
+    """(first, group, size) of the groups of equal pixels a MinSyn run
+    trains on, or None to train on every pixel.
 
-    A pixel that is zero in every training image is an output no batch
-    supports.  Its readout row has exactly zero weights, its input column
-    gives the encoder exactly zero gradient, so Adam never moves that
-    column, and its statistics stay exactly zero.  So a run trains on the
-    other pixels alone and puts it back afterwards.  Input noise makes such a
-    pixel non-zero, and with no pixel left there is nothing to train on, so
-    those runs keep every pixel."""
+    A MinSyn output is read out through its own batch statistics, so pixels
+    whose columns of ``data`` are equal byte for byte get the same readout
+    row, output, loss and encoder gradient, and Adam moves their encoder
+    columns alike.  So a run trains one output per group, weighted by the
+    group's size, and spreads the result back.  Groups are numbered in the
+    order of their first pixel ``first[g]``; ``group[i]`` is pixel i's group
+    and ``size[g]`` its pixel count.  Input noise makes every column differ,
+    so those runs, and runs where no column repeats, train on every pixel."""
     reg = config.regularizer
     if config.decoder_kind not in MINSYN_KINDS or (
             reg.kind == "input_gaussian_noise" and not reg.is_noop):
         return None
     n = data.shape[1]
-    live = np.flatnonzero(data.any(axis=0))
-    trimmed = 0 < live.size < n
-    log.info("training on %d of %d pixels; %d are zero in every training image",
-             live.size if trimmed else n, n, n - live.size)
-    return live if trimmed else None
-
-
-def _on_pixels(model: AutoencoderModel, live: np.ndarray) -> AutoencoderModel:
-    """``model`` on the input pixels ``live``: a first encoder layer holding
-    those columns of its weights, and every other parameter array shared."""
-    first = model.encoder[0]
-    layer = DenseLayer(first.weights[:, live], first.bias, first.activation)
-    return AutoencoderModel(encoder=[layer, *model.encoder[1:]],
-                            decoder_kind=model.decoder_kind)
-
-
-def _zero_output_loss(decoder_kind: str) -> float:
-    """Training loss of one MinSyn output that is 0 in every sample: the
-    cross entropy of its bias against a zero target for the binary decoder,
-    and 0 for the Gaussian one, whose readout of it is exactly 0."""
-    if decoder_kind == "minsyn_gaussian":
-        return 0.0
-    a = np.array([zero_output_bias()])
-    return float(_logit_bce_losses(np.zeros(1), a, _sigmoid_and_exp(a)[1]))
+    columns = np.ascontiguousarray(data.T)
+    keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))).ravel()
+    # A stable sort puts equal columns side by side, each run led by its
+    # first pixel.
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    run_starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    leader = np.empty(n, dtype=np.intp)
+    leader[order] = order[run_starts][np.cumsum(run_starts) - 1]
+    first, group, size = np.unique(leader, return_inverse=True, return_counts=True)
+    log.info("training on %d pixel groups of %d pixels; the pixels of a group are "
+             "equal in every training image", first.size, n)
+    return None if first.size == n else (first, group, size.astype(float))
 
 
 def _train(config: TrainConfig, data) -> tuple:
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
+    if data.ndim != 2 or data.size == 0:
         raise ValueError("data must be a non-empty (N, n) matrix")
     n_samples, n = data.shape
     model = build_autoencoder(n, config.encoder_spec, config.decoder_kind,
                               seed=config.seed)
-    live = _live_pixels(config, data)
-    trained, dead_loss = model, 0.0
-    if live is not None:
-        trained, data = _on_pixels(model, live), data[:, live]
-        dead_loss = (n - live.size) * _zero_output_loss(config.decoder_kind)
+    trained, size = model, None
+    params = model.parameters()
+    groups = _pixel_groups(config, data)
+    if groups is not None:
+        # The first layer holds each group's summed initial columns plus the
+        # group's size times a shared step, which starts at zero.  Adam moves
+        # the step on the gradient of one member column, so every member
+        # moves as it would alone.
+        first, group, size = groups
+        layer = model.encoder[0]
+        base = np.zeros((layer.fan_out, size.size))
+        np.add.at(base.T, group, layer.weights.T)
+        step = np.zeros_like(base)
+        trained = AutoencoderModel(
+            encoder=[DenseLayer(base.copy(), layer.bias, layer.activation),
+                     *model.encoder[1:]],
+            decoder_kind=model.decoder_kind)
+        params = {**trained.parameters(), "encoder.0.weights": step}
+        data = data[:, first]
     rng = np.random.default_rng(config.seed + 1)
     opt = AdamState(lr=config.lr)
-    params = trained.parameters()
     history = []
     if config.epochs and n_samples % config.batch_size == 1:
         log.info("dropping the trailing batch of one sample in each of the %d epochs",
@@ -653,19 +671,24 @@ def _train(config: TrainConfig, data) -> tuple:
                 continue
             batch = data[idx]
             loss_value, grads, stats = gradients(trained, batch, rng=rng,
-                                                 regularizer=config.regularizer)
+                                                 regularizer=config.regularizer,
+                                                 output_weights=size)
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, start // config.batch_size)
             adam_step(opt, params, grads)
+            if groups is not None:
+                weights = trained.encoder[0].weights
+                np.multiply(step, size, out=weights)
+                weights += base
             if stats is not None:
                 trained.ma_state = update_moving_average(trained.ma_state, stats)
-            batch_losses.append(loss_value + dead_loss)
+            batch_losses.append(loss_value)
         history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-    if live is not None:
-        model.encoder[0].weights[:, live] = trained.encoder[0].weights
+    if groups is not None:
+        model.encoder[0].weights += step[:, group]
         ma = trained.ma_state
         if ma.stats is not None:
-            model.ma_state = MovingAverageState(with_zero_outputs(ma.stats, live, n),
+            model.ma_state = MovingAverageState(widen_outputs(ma.stats, group),
                                                 ma.step_count)
     return model, history
 

@@ -12,6 +12,7 @@ import minsyn
 from minsyn.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from minsyn.cli import main
 from minsyn.config import parse_config
+from minsyn.decoder import binary_batch_stats, update_moving_average
 from minsyn.gaussian import GaussianSystem, gk_synergy
 from minsyn.idx import write_idx_file, images_tensor
 from minsyn.nn import build_autoencoder, train_autoencoder
@@ -331,6 +332,30 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(path),
                      "--images", str(self._digit_images(tmp_path))]) == 3
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("model_kind", 5),
+        ("decoder_kind", ["x"]),
+        ("encoder_activations", 5),
+        ("encoder_activations", [1]),
+        ("ma_step_count", 2.5),
+        ("ma_step_count", "3"),
+        ("ma_step_count", None),
+    ], ids=["model_kind_int", "decoder_kind_list", "activations_int",
+            "activations_of_int", "step_count_float", "step_count_str", "step_count_missing"])
+    def test_malformed_meta_types_exit_3(self, tmp_path, capsys, key, value):
+        model = build_autoencoder(784, ((4, "sigmoid"),), "minsyn_binary", seed=0)
+        x, _ = synthetic_digits(8, seed=3)
+        z = np.random.default_rng(0).random((8, 4))
+        model.ma_state = update_moving_average(model.ma_state, binary_batch_stats(x, z))
+        arrays, meta = model_arrays(model, [0.0])
+        meta[key] = value
+        path = tmp_path / "bad_meta.msck"
+        save_checkpoint(path, {"name": "bad_meta"}, arrays, meta)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--images", str(self._digit_images(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and key in err
 
     def test_checkpoint_trained_on_the_inked_pixels_evaluates_full_images(self, tmp_path):
         doc = digits_config(tmp_path, name="inked")

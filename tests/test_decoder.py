@@ -16,8 +16,7 @@ from minsyn.decoder import (
     gaussian_decoder_params,
     row_blocks,
     update_moving_average,
-    with_zero_outputs,
-    zero_output_bias,
+    widen_outputs,
 )
 from minsyn.gaussian import RHO_CLAMP
 from minsyn.nn import TrainConfig, sigmoid, train_autoencoder
@@ -222,36 +221,39 @@ class TestBinaryDecoderParams:
             assert np.isfinite(params.bias).all()
 
 
-class TestBlankOutputs:
-    """Outputs that are 0 in every sample: the pixels no training image inks."""
+class TestWidenedOutputs:
+    """Statistics of one output per group of equal outputs, widened to every
+    output; the blank outputs, 0 in every sample, form one of the groups."""
 
-    def test_zero_output_bias_is_the_readout_of_a_blank_output(self):
-        rng = np.random.default_rng(22)
-        for m in (1, 3, 9):
-            z_mean = rng.random(m)
-            _, _, weights, bias = binary_readout_whole(np.zeros(1), z_mean, np.zeros((1, m)), EPS)
-            assert not weights.any()
-            assert bias[0] == zero_output_bias()
-        assert zero_output_bias() == pytest.approx(np.log(EPS / (1 - EPS)), abs=1e-12)
+    GROUP = np.array([0, 1, 0, 2, 3, 4, 4, 2, 5, 1, 2])  # 2 is the blank group
 
-    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
-    def test_widened_statistics_are_those_of_blank_columns(self, kind):
+    def _batches(self, kind):
         rng = np.random.default_rng(23)
         x, z = (rng.random((16, 6)) < 0.5).astype(float), rng.random((16, 3))
-        full = np.insert(x, [0, 2, 6], 0.0, axis=1)
-        live = np.flatnonzero(full.any(axis=0))
-        assert live.size == 6
+        x[:, 2] = 0.0
         batch_stats = binary_batch_stats if kind == "binary" else gaussian_batch_stats
-        widened = with_zero_outputs(batch_stats(x, z), live, full.shape[1])
-        ref = batch_stats(full, z)
+        return batch_stats(x, z), batch_stats(x[:, self.GROUP], z)
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_widened_statistics_are_those_of_the_full_batch(self, kind):
+        grouped, ref = self._batches(kind)
+        widened = widen_outputs(grouped, self.GROUP)
         assert type(widened) is type(ref)
         for f in dataclasses.fields(ref):
             ours, want = getattr(widened, f.name), getattr(ref, f.name)
             assert ours.shape == want.shape, f.name
             np.testing.assert_allclose(ours, want, rtol=1e-12, atol=0, err_msg=f.name)
-        blank = np.setdiff1d(np.arange(full.shape[1]), live)
         for name in type(ref).PER_OUTPUT_FIELDS:
-            assert not getattr(widened, name)[blank].any(), name
+            assert not getattr(widened, name)[self.GROUP == 2].any(), name
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_every_output_reads_out_its_groups_row(self, kind):
+        grouped, _ = self._batches(kind)
+        ours, want = widen_outputs(grouped, self.GROUP).readout, grouped.readout
+        for i, g in enumerate(self.GROUP):
+            assert ours.weights[i].tobytes() == want.weights[g].tobytes(), i
+            assert ours.bias[i].tobytes() == want.bias[g].tobytes(), i
+        assert not ours.weights[self.GROUP == 2].any()
 
 
 def _random_stats(kind: str, seed: int):

@@ -29,7 +29,13 @@ from minsyn.nn import (
     softplus,
     train_autoencoder,
 )
-from minsyn.words import synthetic_digits
+from minsyn.words import (
+    build_word_dataset,
+    builtin_glyphs,
+    bundled_letter_grid,
+    bundled_word_list,
+    synthetic_digits,
+)
 
 from _oracles import (
     adam_textbook,
@@ -447,6 +453,14 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError, match="epoch 0, batch 1"):
                 train_autoencoder(cfg, images)
 
+    @pytest.mark.parametrize("decoder_kind", ["minsyn_binary", "learned_sigmoid"])
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+    def test_empty_data_rejected(self, decoder_kind, shape):
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=0, lr=0.01,
+                          decoder_kind=decoder_kind, encoder_spec=((3, "sigmoid"),))
+        with pytest.raises(ValueError, match="non-empty"):
+            train_autoencoder(cfg, np.zeros(shape))
+
     def test_dropped_trailing_batch_logged_once_per_run(self, caplog):
         data = np.vstack([self.DATA, self.DATA[:1]])  # 5 samples, batch 2: 5 mod 2 = 1
         cfg = TrainConfig(epochs=3, batch_size=2, seed=0, lr=0.01,
@@ -508,8 +522,9 @@ def _trained_and_oracle(cfg, data):
 
 
 class TestPixelTrimming:
-    """MinSyn runs train on the pixels some training image inks, then put the
-    blank ones back; ``train_full_width`` is the run over every pixel."""
+    """MinSyn runs train one pixel per group of equal pixels, the blank ones
+    among them, then spread the result back; ``train_full_width`` is the run
+    over every pixel."""
 
     LIVE = (np.random.default_rng(21).random((30, 12)) < 0.4).astype(float)
     BLANK_AT = [0, 5, 5, 9, 12]
@@ -562,14 +577,112 @@ class TestPixelTrimming:
         for key, ref in ref_arrays.items():
             assert arrays[key].tobytes() == ref.tobytes(), key
 
-    def test_pixel_count_logged_once_per_run(self, caplog):
-        data = _with_blank_columns(self.LIVE, self.BLANK_AT)
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=4, lr=0.01,
-                          decoder_kind="minsyn_binary", encoder_spec=((4, "sigmoid"),))
+
+
+def _grouped_model(model, group, groups):
+    """``model`` on one input per pixel group: a first encoder layer holding
+    each group's summed columns, and every other parameter array shared."""
+    first = model.encoder[0]
+    summed = np.zeros((first.fan_out, groups))
+    for i, g in enumerate(group):
+        summed[:, g] += first.weights[:, i]
+    return AutoencoderModel(encoder=[DenseLayer(summed, first.bias, first.activation),
+                                     *model.encoder[1:]],
+                            decoder_kind=model.decoder_kind)
+
+
+class TestPixelGroups:
+    """A MinSyn run trains one output per group of pixels whose training
+    columns are equal byte for byte, weighted by the group's size."""
+
+    DISTINCT = (np.random.default_rng(31).random((30, 6)) < 0.4).astype(float)
+    # Pixel -> column of DISTINCT, or -1 for a blank pixel.
+    SOURCE = np.array([0, 1, 0, -1, 2, 3, 3, 4, -1, 5, 1, 0, -1, 5, 2, 4])
+    FIRST = np.array([0, 1, 3, 4, 5, 7, 9])
+    GROUP = np.array([0, 1, 0, 2, 3, 4, 4, 5, 2, 6, 1, 0, 2, 6, 3, 5])
+    KINDS = [("minsyn_binary", "sigmoid"), ("minsyn_gaussian", "softplus")]
+    REGS = [Regularizer(), Regularizer(kind="dropout", p=0.3),
+            Regularizer(kind="latent_gaussian_noise", sigma=0.2)]
+
+    def data(self):
+        padded = np.hstack([self.DISTINCT, np.zeros((30, 1))])
+        return padded[:, self.SOURCE]
+
+    def config(self, decoder_kind, activation, layers=1, reg=Regularizer(), epochs=3):
+        spec = ((5, activation), (3, "sigmoid"))[:layers]
+        return TrainConfig(epochs=epochs, batch_size=8, seed=4, lr=0.01,
+                           decoder_kind=decoder_kind, encoder_spec=spec, regularizer=reg)
+
+    def test_groups_are_numbered_by_first_pixel(self):
+        cfg = self.config("minsyn_binary", "sigmoid")
+        first, group, size = nn._pixel_groups(cfg, self.data())
+        assert first.tolist() == self.FIRST.tolist()
+        assert group.tolist() == self.GROUP.tolist()
+        assert size.tolist() == [3.0, 2.0, 3.0, 2.0, 2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("decoder_kind,activation", KINDS)
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("reg", REGS, ids=lambda r: r.kind)
+    def test_grouped_run_matches_the_full_width_run(self, decoder_kind, activation,
+                                                    layers, reg):
+        cfg = self.config(decoder_kind, activation, layers, reg)
+        model, history = train_autoencoder(cfg, self.data())
+        ref, ref_history = train_full_width(cfg, self.data())
+        arrays, ref_arrays = model_arrays(model, history)[0], model_arrays(ref, ref_history)[0]
+        assert sorted(arrays) == sorted(ref_arrays)
+        for key, want in ref_arrays.items():
+            assert arrays[key].shape == want.shape, key
+            np.testing.assert_allclose(arrays[key], want, rtol=1e-9, atol=0, err_msg=key)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-9, atol=0)
+        readout = model.decoder_params_from_average()
+        for g, leader in enumerate(self.FIRST):
+            for i in np.flatnonzero(self.GROUP == g):
+                for key in TestPixelTrimming.PER_OUTPUT[decoder_kind]:
+                    assert arrays[key][i].tobytes() == arrays[key][leader].tobytes(), key
+                assert readout.weights[i].tobytes() == readout.weights[leader].tobytes()
+                assert readout.bias[i].tobytes() == readout.bias[leader].tobytes()
+
+    @pytest.mark.parametrize("decoder_kind,activation", KINDS)
+    @pytest.mark.parametrize("reg", REGS, ids=lambda r: r.kind)
+    def test_weighted_gradients_are_each_members_full_width_gradients(
+            self, decoder_kind, activation, reg):
+        x = self.data()[:10]
+        full = build_autoencoder(x.shape[1], ((5, activation), (3, "sigmoid")), decoder_kind,
+                                 seed=9)
+        grouped = _grouped_model(full, self.GROUP, self.FIRST.size)
+        size = np.bincount(self.GROUP).astype(float)
+        loss_value, grads, _ = gradients(grouped, x[:, self.FIRST],
+                                         rng=np.random.default_rng(5), regularizer=reg,
+                                         output_weights=size)
+        ref_loss, ref_grads, _ = gradients(full, x, rng=np.random.default_rng(5),
+                                           regularizer=reg)
+        assert loss_value == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        grads["encoder.0.weights"] = grads["encoder.0.weights"][:, self.GROUP]
+        assert sorted(grads) == sorted(ref_grads)
+        for name, want in ref_grads.items():
+            np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_group_count_logged_once_per_run(self, caplog):
+        cfg = self.config("minsyn_binary", "sigmoid", epochs=2)
         with caplog.at_level(logging.INFO, logger="minsyn.nn"):
-            train_autoencoder(cfg, data)
-        counts = [r.getMessage() for r in caplog.records if "pixels" in r.getMessage()]
-        assert counts == ["training on 12 of 17 pixels; 5 are zero in every training image"]
+            train_autoencoder(cfg, self.data())
+        counts = [r.getMessage() for r in caplog.records if "pixel groups" in r.getMessage()]
+        assert counts == ["training on 7 pixel groups of 16 pixels; the pixels of a group "
+                          "are equal in every training image"]
+
+    def test_reference_data_grouping(self):
+        """The word benchmark renders each letter with one fixed glyph, so its
+        training pixels fall into few groups; the digits have no two equal
+        pixels.  A data or renderer change that ends the grouping fails here."""
+        grid = bundled_letter_grid()
+        letters = sorted({ch for slot in grid for ch in slot})
+        words = build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
+        cfg = self.config("minsyn_binary", "sigmoid")
+        first, group, size = nn._pixel_groups(cfg, words.train_images)
+        assert (first.size, group.size) == (49, 2352)
+        blank = ~words.train_images[:, first].any(axis=0)
+        assert size[blank].tolist() == [944.0]
+        assert nn._pixel_groups(cfg, synthetic_digits(1000, seed=10)[0]) is None
 
 
 class TestPca:
