@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import MA_MOMENTUM, MovingAverageState
-from .nn import DECODER_OUTPUT, MINSYN_STATS, AutoencoderModel, DenseLayer, PcaModel
+from .decoder import MovingAverageState
+from .nn import MINSYN_STATS, AutoencoderModel, DenseLayer, PcaModel
 
 MAGIC = b"MSYNCKPT"
 FORMAT_VERSION = 1
@@ -112,8 +112,8 @@ def model_arrays(model, history) -> tuple:
     for i, layer in enumerate(model.encoder):
         arrays[f"encoder.{i}.weights"] = layer.weights
         arrays[f"encoder.{i}.bias"] = layer.bias
-    meta.update(_kind_meta(model.decoder_kind))
     if model.decoder is not None:
+        meta["decoder_activation"] = model.decoder.activation
         arrays["decoder.weights"] = model.decoder.weights
         arrays["decoder.bias"] = model.decoder.bias
     else:
@@ -124,13 +124,6 @@ def model_arrays(model, history) -> tuple:
         for f in dataclasses.fields(ma.stats):
             arrays[f"ma.{f.name}"] = getattr(ma.stats, f.name)
     return arrays, meta
-
-
-def _kind_meta(kind: str) -> dict:
-    """The header entries that follow from the decoder kind alone."""
-    if kind in MINSYN_STATS:
-        return {"ma_momentum": MA_MOMENTUM, "ma_stats_kind": MINSYN_STATS[kind].__name__}
-    return {"decoder_activation": DECODER_OUTPUT[kind]}
 
 
 def _meta_entry(meta: dict, key: str, kind: type, item: type | None = None):
@@ -146,30 +139,35 @@ def _meta_entry(meta: dict, key: str, kind: type, item: type | None = None):
 
 
 def restore_model(ckpt: Checkpoint):
-    """Rebuild the Python model object from a parsed checkpoint."""
+    """Rebuild the Python model object from a parsed checkpoint.
+
+    An array that is not part of the model the meta describes is a
+    ValueError.  Meta keys no model reads, such as the ``ma_momentum`` and
+    ``ma_stats_kind`` of older checkpoints, are ignored."""
     meta, arrays = ckpt.meta, ckpt.arrays
     if _meta_entry(meta, "model_kind", str) == "pca":
-        return PcaModel(components=arrays["pca.components"], mean=arrays["pca.mean"])
-    layers = []
-    for i, activation in enumerate(_meta_entry(meta, "encoder_activations", list, str)):
-        layers.append(DenseLayer(weights=arrays[f"encoder.{i}.weights"],
-                                 bias=arrays[f"encoder.{i}.bias"],
-                                 activation=activation))
-    decoder_kind = _meta_entry(meta, "decoder_kind", str)
-    for key, value in _kind_meta(decoder_kind).items():
-        if meta.get(key) != value:
-            raise ValueError(f"checkpoint {key} {meta.get(key)!r} does not match "
-                             f"decoder {decoder_kind} ({value!r})")
-    if decoder_kind in MINSYN_STATS:
-        cls = MINSYN_STATS[decoder_kind]
-        stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
-        ma = MovingAverageState(stats=stats,
-                                step_count=_meta_entry(meta, "ma_step_count", int))
-        model = AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)
-        readout = model.decoder_params_from_average()  # cached: evaluation reuses it
-        if not (np.isfinite(readout.weights).all() and np.isfinite(readout.bias).all()):
-            raise ValueError("checkpoint moving-average readout is not finite")
-        return model
-    decoder = DenseLayer(weights=arrays["decoder.weights"], bias=arrays["decoder.bias"],
-                         activation=DECODER_OUTPUT[decoder_kind])
-    return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, decoder=decoder)
+        model = PcaModel(components=arrays["pca.components"], mean=arrays["pca.mean"])
+    else:
+        layers = [DenseLayer(weights=arrays[f"encoder.{i}.weights"],
+                             bias=arrays[f"encoder.{i}.bias"], activation=activation)
+                  for i, activation in enumerate(
+                      _meta_entry(meta, "encoder_activations", list, str))]
+        decoder_kind = _meta_entry(meta, "decoder_kind", str)
+        if decoder_kind in MINSYN_STATS:
+            cls = MINSYN_STATS[decoder_kind]
+            stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
+            ma = MovingAverageState(stats=stats,
+                                    step_count=_meta_entry(meta, "ma_step_count", int))
+            model = AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)
+            readout = model.decoder_params_from_average()  # cached: evaluation reuses it
+            if not (np.isfinite(readout.weights).all() and np.isfinite(readout.bias).all()):
+                raise ValueError("checkpoint moving-average readout is not finite")
+        else:
+            decoder = DenseLayer(weights=arrays["decoder.weights"], bias=arrays["decoder.bias"],
+                                 activation=_meta_entry(meta, "decoder_activation", str))
+            model = AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, decoder=decoder)
+    unread = sorted(set(arrays) - set(model_arrays(model, [])[0]))
+    if unread:
+        raise ValueError(f"checkpoint arrays {unread} are not part of the model its meta "
+                         "describes")
+    return model

@@ -21,10 +21,10 @@ from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      resolve_data_path)
 from .idx import IdxParseError, images_tensor, labels_tensor, read_idx_file, write_idx_file
 from .metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
-from .nn import PcaModel, TrainingDivergedError, pca_fit, train_autoencoder
+from .nn import LOSS_KINDS, PcaModel, TrainingDivergedError, pca_fit, train_autoencoder
 from .noise import NOISE_KINDS, apply_noise
 from .svg import line_plot_svg
-from .words import (WordDataset, build_word_dataset, builtin_glyphs,
+from .words import (GLYPH_SIDE, WordDataset, build_word_dataset, builtin_glyphs,
                     bundled_letter_grid, bundled_word_list, char_layout,
                     load_handwritten_glyphs, synthetic_digits)
 
@@ -60,7 +60,7 @@ def write_word_dataset(out_dir: Path, ds: WordDataset, glyph_source: str,
                    labels_tensor(np.arange(len(ds.test_words))))
     manifest = {
         "kind": "words",
-        "glyph_side": 28,
+        "glyph_side": GLYPH_SIDE,
         "word_len": len(ds.letters_by_position),
         "letters_by_position": [list(g) for g in ds.letters_by_position],
         "train_words": list(ds.train_words),
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True, help="IDX image file (raw or .gz)")
     p.add_argument("--noise", action="append", choices=NOISE_KINDS,
                    help="noise kind (repeatable; default: all kinds)")
-    p.add_argument("--loss", choices=("bce", "mse"), default="bce")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="bce")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the CSV here as well")
     p.set_defaults(func=cmd_eval)
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate runs into a method table")
     p.add_argument("runs", nargs="+", help="run directories holding checkpoints")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--loss", choices=("bce", "mse"), default="mse")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="mse")
     p.set_defaults(func=cmd_report)
     return parser
 

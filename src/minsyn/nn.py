@@ -203,8 +203,9 @@ class AutoencoderModel:
                 self.latent_dim * self.input_dim)
 
     def reconstruct(self, x) -> np.ndarray:
-        """Eval-mode reconstruction of the images x (N, n)."""
-        return forward(self, x)[1]
+        """Eval-mode reconstruction of the images x (N, n), on one OpenBLAS thread."""
+        with _one_blas_thread():
+            return forward(self, x)[1]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable parameters keyed by path; views, not copies."""
@@ -726,6 +727,15 @@ class PcaModel:
     components: np.ndarray  # (k, n)
     mean: np.ndarray  # (n,)
 
+    def __post_init__(self):
+        self.components = np.asarray(self.components, dtype=float)
+        self.mean = np.asarray(self.mean, dtype=float)
+        if (self.components.ndim != 2 or self.components.shape[0] < 1
+                or self.mean.shape != (self.components.shape[1],)):
+            raise ValueError("PCA components must be (k >= 1, n) with a mean of length n")
+        if not (np.all(np.isfinite(self.components)) and np.all(np.isfinite(self.mean))):
+            raise ValueError("PCA components and mean must be finite")
+
     @property
     def product_sizes(self) -> tuple:
         """Multiply-adds per image of the matrix products of a
@@ -733,8 +743,10 @@ class PcaModel:
         return (self.components.size,)
 
     def reconstruct(self, x) -> np.ndarray:
+        """Reconstruction of the images x (N, n), on one OpenBLAS thread."""
         xc = np.asarray(x, dtype=float) - self.mean
-        return self.mean + (xc @ self.components.T) @ self.components
+        with _one_blas_thread():
+            return self.mean + (xc @ self.components.T) @ self.components
 
     def decoder_weight_matrix(self) -> np.ndarray:
         return self.components.T.copy()

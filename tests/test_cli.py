@@ -15,7 +15,7 @@ from minsyn.config import parse_config
 from minsyn.decoder import binary_batch_stats, update_moving_average
 from minsyn.gaussian import GaussianSystem, gk_synergy
 from minsyn.idx import write_idx_file, images_tensor
-from minsyn.nn import build_autoencoder, train_autoencoder
+from minsyn.nn import PcaModel, build_autoencoder, pca_fit, train_autoencoder
 from minsyn.svg import line_plot_svg
 from minsyn.words import builtin_glyph, synthetic_digits
 
@@ -133,13 +133,16 @@ class TestTrain:
     def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # The reference digits shapes (784 -> 3 x 128), where threaded OpenBLAS
         # products round differently from one-thread ones, cut to two epochs
-        # of 100 images.
+        # of 100 images.  Each run's checkpoint is then scored by `minsyn eval`
+        # at the same thread count.
         doc = json.loads((Path(__file__).resolve().parents[1] / "configs"
                           / "digits_minsyn_binary.json").read_text())
         doc["dataset"]["train"] = 100
         doc["training"]["epochs"] = 2
+        images = tmp_path / "eval.idx"
+        write_idx_file(images, images_tensor(synthetic_digits(500, seed=3)[0]))
         src = str(Path(minsyn.__file__).resolve().parent.parent)
-        blobs = []
+        blobs, csvs = [], []
         for threads in ("1", "2"):
             doc["output_dir"] = str(tmp_path / f"threads{threads}")
             cfg_dir = tmp_path / f"c{threads}"
@@ -147,12 +150,17 @@ class TestTrain:
             cfg_path = write_config(cfg_dir, doc)
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            proc = subprocess.run([sys.executable, "-m", "minsyn.cli", "train",
-                                   "--config", str(cfg_path)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            blobs.append((Path(doc["output_dir"]) / "checkpoint.msck").read_bytes())
+            ckpt = Path(doc["output_dir"]) / "checkpoint.msck"
+            out = tmp_path / f"eval{threads}.csv"
+            for argv in (["train", "--config", cfg_path],
+                         ["eval", "--checkpoint", ckpt, "--images", images, "--out", out]):
+                proc = subprocess.run([sys.executable, "-m", "minsyn.cli", *map(str, argv)],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            blobs.append(ckpt.read_bytes())
+            csvs.append(out.read_text())
         assert _strip_config(blobs[0]) == _strip_config(blobs[1])
+        assert csvs[0] == csvs[1]
 
     def test_invalid_config_exits_2(self, tmp_path):
         doc = digits_config(tmp_path)
@@ -305,7 +313,7 @@ class TestEval:
         save_checkpoint(path, {"name": "mismatch"}, arrays, meta)
         assert main(["eval", "--checkpoint", str(path),
                      "--images", str(self._digit_images(tmp_path))]) == 3
-        assert "decoder_activation" in capsys.readouterr().err
+        assert "needs a identity output layer" in capsys.readouterr().err
 
     def test_non_finite_average_readout_exits_3(self, tmp_path, capsys):
         doc = digits_config(tmp_path, name="nan_ma", decoder_kind="minsyn_gaussian")
@@ -356,6 +364,66 @@ class TestEval:
                      "--images", str(self._digit_images(tmp_path))]) == 3
         err = capsys.readouterr().err
         assert "data error:" in err and key in err
+
+    def _minsyn_checkpoint_parts(self, encoder_spec):
+        """(arrays, meta) of a MinSyn binary model on 784 pixels whose
+        moving average holds one batch of statistics."""
+        model = build_autoencoder(784, encoder_spec, "minsyn_binary", seed=0)
+        x, _ = synthetic_digits(8, seed=3)
+        z = np.random.default_rng(0).random((8, model.latent_dim))
+        model.ma_state = update_moving_average(model.ma_state, binary_batch_stats(x, z))
+        return model_arrays(model, [0.0])
+
+    def _pca_checkpoint_parts(self):
+        """(arrays, meta) of a 2-component PCA model on 784 pixels."""
+        train, _ = synthetic_digits(20, seed=1)
+        return model_arrays(PcaModel(*pca_fit(train, 2)), [])
+
+    def _eval_csv(self, tmp_path, arrays, meta):
+        """The eval CSV of the checkpoint (arrays, meta), or None when eval
+        exits 3."""
+        path, out = tmp_path / "ckpt.msck", tmp_path / "eval.csv"
+        save_checkpoint(path, {"name": "ckpt"}, arrays, meta)
+        code = main(["eval", "--checkpoint", str(path), "--images",
+                     str(self._digit_images(tmp_path)), "--loss", "mse", "--out", str(out)])
+        assert code in (0, 3)
+        return out.read_text() if code == 0 else None
+
+    def test_unread_checkpoint_arrays_exit_3(self, tmp_path, capsys):
+        # An encoder_activations list one layer short would score the
+        # checkpoint with its encoder cut after the first layer.
+        arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"), (4, "sigmoid")))
+        assert self._eval_csv(tmp_path, arrays, meta) is not None
+        meta["encoder_activations"] = ["sigmoid"]
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert "['encoder.1.bias', 'encoder.1.weights']" in capsys.readouterr().err
+        # A PCA checkpoint with an array PCA does not read.
+        arrays, meta = self._pca_checkpoint_parts()
+        arrays["encoder.0.weights"] = np.zeros((2, 784))
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert "['encoder.0.weights']" in capsys.readouterr().err
+
+    def test_legacy_minsyn_meta_keys_are_ignored(self, tmp_path):
+        arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
+        assert "ma_momentum" not in meta and "ma_stats_kind" not in meta
+        legacy = dict(meta, ma_momentum=0.99, ma_stats_kind="BinaryStats")
+        expected = self._eval_csv(tmp_path, arrays, meta)
+        assert expected is not None
+        assert self._eval_csv(tmp_path, arrays, legacy) == expected
+
+    @pytest.mark.parametrize("name,value", [
+        ("pca.mean", np.zeros(1)),
+        ("pca.mean", np.full(784, np.nan)),
+        ("pca.components", np.full((2, 784), np.nan)),
+        ("pca.components", np.zeros(784)),
+        ("pca.components", np.zeros((0, 784))),
+    ], ids=["mean_of_length_1", "mean_nan", "components_nan", "components_1d",
+            "no_components"])
+    def test_malformed_pca_checkpoint_exits_3(self, tmp_path, capsys, name, value):
+        arrays, meta = self._pca_checkpoint_parts()
+        arrays[name] = value
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert "data error: PCA components" in capsys.readouterr().err
 
     def test_checkpoint_trained_on_the_inked_pixels_evaluates_full_images(self, tmp_path):
         doc = digits_config(tmp_path, name="inked")

@@ -5,6 +5,7 @@ import pytest
 
 from minsyn import nn
 from minsyn.checkpoint import model_arrays
+from minsyn.metrics import reconstruction_loss
 from minsyn.nn import (
     BCE_CLAMP,
     DECODER_KINDS,
@@ -490,6 +491,29 @@ class TestTraining:
             put(2)
             train_autoencoder(cfg, self.DATA)
             assert seen == [1, 1] and get() == 2
+        finally:
+            put(before)
+
+    def test_blas_thread_count_pinned_while_scoring_then_restored(self, monkeypatch):
+        calls = nn._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy bundles no OpenBLAS thread control here")
+        get, put = calls
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=0, lr=0.01,
+                          decoder_kind="learned_sigmoid", encoder_spec=((3, "sigmoid"),))
+        model, _ = train_autoencoder(cfg, self.DATA)
+        seen = []
+
+        def recording_forward(*args, **kwargs):
+            seen.append(get())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        before = get()
+        try:
+            put(2)
+            reconstruction_loss(model, self.DATA, "bce")
+            assert seen == [1] and get() == 2
         finally:
             put(before)
 
