@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -237,6 +238,7 @@ def cmd_synergy_curve(args) -> int:
 def cmd_report(args) -> int:
     rows = []
     manifests = {}
+    datasets = {}  # dataset directory -> (WordDataset, manifest as sorted JSON)
     loss_kind = args.loss
     for run_dir in args.runs:
         ckpt_path = Path(run_dir) / CHECKPOINT_NAME
@@ -248,8 +250,11 @@ def cmd_report(args) -> int:
             raise DataError(
                 f"{run_dir}: report needs runs on a words dataset (got "
                 f"{cfg.dataset['kind']!r}; the concentration score requires slots)")
-        words, manifest = load_word_dataset(resolve_data_path(cfg.dataset["dir"]))
-        manifests[run_dir] = json.dumps(manifest, sort_keys=True)
+        data_dir = resolve_data_path(cfg.dataset["dir"])
+        if data_dir not in datasets:
+            words, manifest = load_word_dataset(data_dir)
+            datasets[data_dir] = (words, json.dumps(manifest, sort_keys=True))
+        words, manifests[run_dir] = datasets[data_dir]
         model = restore_model(ckpt)
         train_loss, test_loss = reconstruction_losses(
             model, words.train_images, words.test_images, loss_kind)
@@ -270,7 +275,11 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each command names
+    its handler, which ``main`` looks up when it runs, so a handler replaced
+    after the parser was built is the one called."""
     parser = argparse.ArgumentParser(
         prog="minsyn",
         description="Synergy measures and minimally-synergistic autoencoders")
@@ -282,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glyphs", choices=("builtin", "emnist"), default=None,
                    help="glyph source (default: emnist when --emnist-dir is given)")
     p.add_argument("--word-list", help="override the bundled dictionary file")
-    p.set_defaults(func=cmd_dataset_build)
+    p.set_defaults(handler="cmd_dataset_build")
 
     p = sub.add_parser("train", help="train one configured model")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(handler="cmd_train")
 
     p = sub.add_parser("eval", help="score reconstructions of corrupted images")
     p.add_argument("--checkpoint", required=True)
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSS_KINDS, default="bce")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the CSV here as well")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(handler="cmd_eval")
 
     p = sub.add_parser("synergy-curve",
                        help="information and synergy across the feasible latent correlation")
@@ -305,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--units", choices=("nats", "bits"), default="nats")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synergy_curve)
+    p.set_defaults(handler="cmd_synergy_curve")
 
     p = sub.add_parser("report", help="aggregate runs into a method table")
     p.add_argument("runs", nargs="+", help="run directories holding checkpoints")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--loss", choices=LOSS_KINDS, default="mse")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(handler="cmd_report")
     return parser
 
 
@@ -325,7 +334,7 @@ def main(argv=None) -> int:
     if args.command == "dataset-build" and args.glyphs is None:
         args.glyphs = "emnist" if args.emnist_dir else "builtin"
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,7 +51,10 @@ def _stack_row_blocks(n: int, m: int, build) -> tuple:
     """The arrays ``build(rows)`` returns for the outputs in ``rows``, run
     over the readout's row blocks of an (n, m) table and stacked.  A single
     block returns ``build``'s own arrays."""
-    blocks = row_blocks(n, _READOUT_ROW_FLOATS * m * 8)
+    row_bytes = _READOUT_ROW_FLOATS * m * 8
+    if n * row_bytes <= BLOCK_BYTES:
+        return build(slice(0, n))
+    blocks = row_blocks(n, row_bytes)
     first = build(blocks[0])
     if len(blocks) == 1:
         return first
@@ -61,6 +64,29 @@ def _stack_row_blocks(n: int, m: int, build) -> tuple:
         for out, part in zip(stacked, parts):
             out[rows] = part
     return stacked
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float, out=None) -> np.ndarray:
+    """np.clip(x, lo, hi) as two ufunc calls, into ``out`` when given.  The
+    bound comes first in the maximum, which keeps np.clip's bytes: its sign
+    of a zero at the bound and its NaNs."""
+    out = np.maximum(lo, x, out=out)
+    return np.minimum(out, hi, out=out)
+
+
+def _column_means(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=0) as ndarray.mean computes it, the column sums divided by
+    the row count, without its Python layers."""
+    means = np.add.reduce(a, axis=0)
+    means /= a.shape[0]
+    return means
+
+
+def _std(mean: np.ndarray, sq_mean: np.ndarray) -> np.ndarray:
+    """Standard deviations from raw moments, the variance floored at
+    STD_FLOOR ** 2."""
+    var = sq_mean - mean ** 2
+    return np.sqrt(np.maximum(var, STD_FLOOR ** 2, out=var), out=var)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,24 +133,22 @@ class GaussianStats:
 
     @cached_property
     def x_std(self) -> np.ndarray:
-        var = np.clip(self.x_sq_mean - self.x_mean ** 2, STD_FLOOR ** 2, None)
-        return _frozen(np.sqrt(var))
+        return _frozen(_std(self.x_mean, self.x_sq_mean))
 
     @cached_property
     def z_std(self) -> np.ndarray:
-        var = np.clip(self.z_sq_mean - self.z_mean ** 2, STD_FLOOR ** 2, None)
-        return _frozen(np.sqrt(var))
+        return _frozen(_std(self.z_mean, self.z_sq_mean))
 
     def _rho_rows(self, rows: slice) -> np.ndarray:
         """Clamped correlations of the outputs in ``rows`` with every latent."""
-        cov = self.xz_mean[rows] - np.outer(self.x_mean[rows], self.z_mean)
-        r = cov / np.outer(self.x_std[rows], self.z_std)
-        return np.clip(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP)
+        r = np.subtract(self.xz_mean[rows], self.x_mean[rows, None] * self.z_mean)
+        r /= self.x_std[rows, None] * self.z_std
+        return _clamp(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP, out=r)
 
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights,) of the outputs in ``rows``."""
         weights, _ = ci_weights(self._rho_rows(rows))
-        weights *= np.outer(self.x_std[rows], 1.0 / self.z_std)
+        weights *= self.x_std[rows, None] * (1.0 / self.z_std)
         return (weights,)
 
     @cached_property
@@ -138,7 +162,7 @@ class GaussianStats:
         row's correlations, so xbar_i is that posterior's mean.
         """
         (weights,) = _stack_row_blocks(self.n, self.m, self._readout_rows)
-        bias = self.x_mean - weights @ self.z_mean
+        bias = np.subtract(self.x_mean, weights @ self.z_mean)
         return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
@@ -179,20 +203,23 @@ class BinaryStats:
 
     @cached_property
     def px1(self) -> np.ndarray:
-        return _frozen(np.clip(self.x_mean, EPS, 1.0 - EPS))
+        return _frozen(_clamp(self.x_mean, EPS, 1.0 - EPS))
 
     @cached_property
     def _supported(self) -> np.ndarray:
-        return _frozen((self.x_mean >= EPS) & (self.x_mean <= 1.0 - EPS))
+        # E[x_i] in [EPS, 1 - EPS]: exactly where the clamp leaves it alone.
+        return _frozen(self.px1 == self.x_mean)
 
     def _conditional_rows(self, rows: slice, given_x1: bool) -> np.ndarray:
         """p(Z_j = 1 | X_i = 1) (or X_i = 0) for the outputs in ``rows``."""
+        p1 = self.px1[rows, None]
         if given_x1:
-            cond = self.xz_mean[rows] / self.px1[rows, None]
+            cond = np.divide(self.xz_mean[rows], p1)
         else:
-            cond = (self.z_mean[None, :] - self.xz_mean[rows]) / (1.0 - self.px1[rows])[:, None]
-        cond = np.where(self._supported[rows, None], cond, self.z_mean[None, :])
-        return np.clip(cond, EPS, 1.0 - EPS)
+            cond = np.subtract(self.z_mean, self.xz_mean[rows])
+            cond /= 1.0 - p1
+        cond = np.where(self._supported[rows, None], cond, self.z_mean)
+        return _clamp(cond, EPS, 1.0 - EPS, out=cond)
 
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights, summed evidence of the latents being 0) of the outputs
@@ -206,7 +233,7 @@ class BinaryStats:
         weights = np.log(np.multiply(q1, not_q0, out=q1), out=q1)
         weights -= np.log(np.multiply(not_q1, q0, out=q0), out=q0)
         evidence = np.log(np.divide(not_q1, not_q0, out=not_q1), out=not_q1)
-        return weights, evidence.sum(axis=1)
+        return weights, np.add.reduce(evidence, axis=1)
 
     @cached_property
     def readout(self) -> DecoderParams:
@@ -221,7 +248,9 @@ class BinaryStats:
         """
         p1 = self.px1
         weights, evidence = _stack_row_blocks(self.n, self.m, self._readout_rows)
-        bias = np.log(p1 / (1.0 - p1)) + evidence
+        bias = np.divide(p1, 1.0 - p1)
+        np.log(bias, out=bias)
+        bias += evidence
         return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
@@ -231,6 +260,11 @@ class DecoderParams:
 
     weights: np.ndarray  # (n, m)
     bias: np.ndarray  # (n,)
+
+
+# The raw-moment fields of each statistics class, in declaration order.
+_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls))
+           for cls in (GaussianStats, BinaryStats)}
 
 
 def _batch_pair(x_batch, z_batch) -> tuple:
@@ -247,12 +281,14 @@ def gaussian_batch_stats(x_batch, z_batch) -> GaussianStats:
     b = x.shape[0]
     if b < 2:
         raise ValueError(f"batch size {b} < 2: statistics are undefined")
+    xz_mean = x.T @ z
+    xz_mean /= b
     return GaussianStats(
-        x_mean=x.mean(axis=0),
-        z_mean=z.mean(axis=0),
-        x_sq_mean=(x ** 2).mean(axis=0),
-        z_sq_mean=(z ** 2).mean(axis=0),
-        xz_mean=x.T @ z / b,
+        x_mean=_column_means(x),
+        z_mean=_column_means(z),
+        x_sq_mean=_column_means(x ** 2),
+        z_sq_mean=_column_means(z ** 2),
+        xz_mean=xz_mean,
     )
 
 
@@ -261,12 +297,10 @@ def binary_batch_stats(x_batch, z_batch) -> BinaryStats:
     [0, 1], so latents that regularizer noise pushed out of range are read
     as probabilities."""
     x, z = _batch_pair(x_batch, z_batch)
-    x, z = np.clip(x, 0.0, 1.0), np.clip(z, 0.0, 1.0)
-    return BinaryStats(
-        x_mean=x.mean(axis=0),
-        z_mean=z.mean(axis=0),
-        xz_mean=x.T @ z / x.shape[0],
-    )
+    x, z = _clamp(x, 0.0, 1.0), _clamp(z, 0.0, 1.0)
+    xz_mean = x.T @ z
+    xz_mean /= x.shape[0]
+    return BinaryStats(x_mean=_column_means(x), z_mean=_column_means(z), xz_mean=xz_mean)
 
 
 def widen_outputs(stats, group: np.ndarray):
@@ -274,9 +308,9 @@ def widen_outputs(stats, group: np.ndarray):
     output: output i gets the per-output moments of its group ``group[i]``,
     as the statistics of the full batch would give it."""
     widened = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        widened[f.name] = value[group] if f.name in stats.PER_OUTPUT_FIELDS else value
+    for name in _FIELDS[type(stats)]:
+        value = getattr(stats, name)
+        widened[name] = value[group] if name in stats.PER_OUTPUT_FIELDS else value
     return type(stats)(**widened)
 
 
@@ -326,13 +360,15 @@ def update_moving_average(state: MovingAverageState, batch) -> MovingAverageStat
             f"statistics type mismatch: running {type(running).__name__}, "
             f"batch {type(batch).__name__}"
         )
-    mu = MA_MOMENTUM
     blended = {}
-    for f in dataclasses.fields(running):
-        old = getattr(running, f.name)
-        new = getattr(batch, f.name)
+    for name in _FIELDS[type(running)]:
+        old = getattr(running, name)
+        new = getattr(batch, name)
         if old.shape != new.shape:
-            raise ValueError(f"shape mismatch on {f.name}: {old.shape} vs {new.shape}")
-        blended[f.name] = mu * old + (1.0 - mu) * new
+            raise ValueError(f"shape mismatch on {name}: {old.shape} vs {new.shape}")
+        # mu * old + (1 - mu) * new, blended in the fresh product's buffer.
+        value = np.multiply(old, MA_MOMENTUM)
+        value += np.multiply(new, 1.0 - MA_MOMENTUM)
+        blended[name] = value
     return MovingAverageState(
         stats=type(running)(**blended), step_count=state.step_count + 1)

@@ -322,7 +322,7 @@ def ci_weights(r: np.ndarray) -> tuple:
     the clamped correlations ``r``, finished in place in r's buffer."""
     r2 = r ** 2
     one_minus_r2 = 1.0 - r2
-    one_plus_big_r = 1.0 + np.divide(r2, one_minus_r2, out=r2).sum(axis=-1)
+    one_plus_big_r = 1.0 + np.add.reduce(np.divide(r2, one_minus_r2, out=r2), axis=-1)
     weights = np.divide(r, one_minus_r2, out=r)
     weights /= one_plus_big_r[..., None]
     return weights, one_plus_big_r

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -174,11 +175,21 @@ class AutoencoderModel:
                 raise ValueError("minsyn decoders carry no learned layer")
             if self.ma_state is None:
                 self.ma_state = MovingAverageState(stats=None)
+            stats = self.ma_state.stats
+            if stats is not None and (stats.n, stats.m) != (self.input_dim, self.latent_dim):
+                raise ValueError(
+                    f"moving-average statistics ma.* of {stats.n} outputs and {stats.m} "
+                    f"latents do not match the encoder's {self.input_dim} inputs and "
+                    f"{self.latent_dim} latents")
         else:
             if self.decoder is None:
                 raise ValueError("learned decoder kinds need a decoder layer")
             if self.decoder.fan_in != self.latent_dim:
                 raise ValueError("decoder input does not match the latent size")
+            if self.decoder.fan_out != self.input_dim:
+                raise ValueError(
+                    f"decoder.weights has {self.decoder.fan_out} outputs, but the encoder "
+                    f"takes {self.input_dim} inputs")
             if self.decoder.activation != DECODER_OUTPUT[self.decoder_kind]:
                 raise ValueError(f"decoder {self.decoder_kind} needs a "
                                  f"{DECODER_OUTPUT[self.decoder_kind]} output layer")
@@ -266,7 +277,7 @@ def _readout(stats) -> DecoderParams:
 def _feature_sums(terms: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     """Per-sample sums over the features of loss terms (B, n), each feature
     counted ``weights[i]`` times when weights (n,) are given."""
-    return terms.sum(axis=-1) if weights is None else terms @ weights
+    return np.add.reduce(terms, axis=-1) if weights is None else terms @ weights
 
 
 def _logit_bce_losses(x: np.ndarray, a: np.ndarray, t: np.ndarray,
@@ -286,7 +297,8 @@ def _logit_bce_losses(x: np.ndarray, a: np.ndarray, t: np.ndarray,
 
 def _check_bce_operand(name: str, arr: np.ndarray) -> None:
     # Written so that a NaN, whose comparisons are all false, fails it.
-    if not (arr.min() >= -1e-9 and arr.max() <= 1.0 + 1e-9):
+    if not (np.minimum.reduce(arr, axis=None) >= -1e-9
+            and np.maximum.reduce(arr, axis=None) <= 1.0 + 1e-9):
         raise ValueError(f"bce requires {name} in [0, 1]")
 
 
@@ -386,7 +398,8 @@ def _decode(model, x_target, z, mode):
         readout = _readout(stats)
     else:
         readout = model.decoder_params_from_average()
-    a = z @ readout.weights.T + readout.bias
+    a = z @ readout.weights.T
+    a += readout.bias
     if DECODER_OUTPUT[model.decoder_kind] == "identity":
         return a, a, None, stats
     xbar, t = _sigmoid_and_exp(a)
@@ -456,14 +469,15 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
         d_pre = 2.0 * (cache.xbar - x) / b
     if output_weights is not None:
         d_pre *= output_weights
-    loss_value = float(losses.mean())
+    # The mean as ndarray.mean takes it, the sum over the count.
+    loss_value = float(np.add.reduce(losses)) / losses.size
     grads = {}
     if model.decoder is None:
         w = _readout(cache.batch_stats).weights
     else:
         w = model.decoder.weights
         grads["decoder.weights"] = d_pre.T @ cache.z
-        grads["decoder.bias"] = d_pre.sum(axis=0)
+        grads["decoder.bias"] = np.add.reduce(d_pre, axis=0)
     d_z = d_pre @ w
 
     if cache.dropout_mask is not None:
@@ -475,49 +489,113 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
         d_a = d_h * _ACTIVATIONS[layer.activation][1](cache.pre[i], cache.post[i])
         below = cache.post[i - 1] if i > 0 else cache.x_input
         grads[f"encoder.{i}.weights"] = d_a.T @ below
-        grads[f"encoder.{i}.bias"] = d_a.sum(axis=0)
+        grads[f"encoder.{i}.bias"] = np.add.reduce(d_a, axis=0)
         if i > 0:  # the gradient with respect to the input has no reader
             d_h = d_a @ layer.weights
     return loss_value, grads, cache.batch_stats
 
 
+# Elements per block of the flat Adam update.  A block's four float64 rows
+# (the two moments, and the gradient and its square, which then hold the
+# update) take 1 MiB, so they stay in a 2 MiB cache together.
+ADAM_BLOCK = 32 * 1024
+# Row 0 of the moment buffer is the first moment m, row 1 the second, v.
+_ADAM_BETAS = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+_ADAM_GRAD_SCALES = 1.0 - _ADAM_BETAS
+
+
 @dataclass
 class AdamState:
-    """First/second-moment accumulators for a named set of parameters."""
+    """First/second-moment accumulators for a named set of parameters.
+
+    The first step lays the moments of every parameter out in one flat
+    (2, size) buffer, m in row 0 and v in row 1; ``m[name]`` and
+    ``v[name]`` are views of it, shaped like the parameter.  The update
+    runs over that buffer in blocks of at most ``ADAM_BLOCK`` elements of
+    whole parameter rows, with two scratch rows kept from step to step.
+    """
 
     lr: float = 0.001
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _shapes: dict | None = field(default=None, init=False, repr=False)
+    # (moments, scratch rows, row 0, row 1, pieces) per block; a piece is
+    # (name, index into the parameter, view of scratch row 0 shaped like
+    # that part).
+    _blocks: list = field(default_factory=list, init=False, repr=False)
+    # The bias corrections 1 - beta ** t of this step, one per moment row.
+    _corrections: np.ndarray = field(default_factory=lambda: np.ones((2, 1)), init=False,
+                                     repr=False)
+
+
+def _adam_layout(state: AdamState, params: dict) -> None:
+    """Lay out the flat moments of ``params``, their blocks and the scratch
+    rows in ``state``."""
+    moments = np.zeros((2, sum(p.size for p in params.values())))
+    spans = []  # [block start, block stop, [(name, index, flat start, flat stop)]]
+    offset = 0
+    for name, p in params.items():
+        state.m[name] = moments[0, offset:offset + p.size].reshape(p.shape)
+        state.v[name] = moments[1, offset:offset + p.size].reshape(p.shape)
+        if p.size <= ADAM_BLOCK:
+            pieces = [(name, ..., offset, offset + p.size)]
+        else:  # whole rows, as many as a block holds
+            rows, row = p.shape[0], p.size // p.shape[0]
+            step = max(1, ADAM_BLOCK // row)
+            pieces = [(name, slice(r, r + step), offset + r * row,
+                       offset + min(r + step, rows) * row) for r in range(0, rows, step)]
+        for piece in pieces:
+            if spans and piece[3] - spans[-1][0] <= ADAM_BLOCK:
+                spans[-1][1] = piece[3]
+                spans[-1][2].append(piece)
+            else:
+                spans.append([piece[2], piece[3], [piece]])
+        offset += p.size
+    scratch = np.empty((2, max((stop - start for start, stop, _ in spans), default=0)))
+    for start, stop, pieces in spans:
+        rows = scratch[:, :stop - start]
+        views = [(name, index, rows[0, a - start:b - start].reshape(params[name][index].shape))
+                 for name, index, a, b in pieces]
+        state._blocks.append((moments[:, start:stop], rows, rows[0], rows[1], views))
 
 
 def adam_step(state: AdamState, params: dict, grads: dict):
-    """One bias-corrected Adam update, in place on the parameter arrays."""
-    state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+    """One bias-corrected Adam update, in place on the parameter arrays.
+
+    Every step must pass the parameter names and shapes of the first."""
+    shapes = {name: p.shape for name, p in params.items()}
+    for name, shape in shapes.items():
+        if grads[name].shape != shape:
             raise ValueError(f"gradient shape mismatch on {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g ** 2
-        # p -= lr * m_hat / (sqrt(v_hat) + eps) in its own operation order, so
-        # the floats do not change, but in place to skip the temporaries.
-        m_hat = m / (1.0 - b1 ** state.t)
-        denom = v / (1.0 - b2 ** state.t)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        m_hat *= state.lr
-        m_hat /= denom
-        p -= m_hat
+    if state._shapes is None:
+        _adam_layout(state, params)
+        state._shapes = shapes
+    elif shapes != state._shapes:
+        raise ValueError("Adam steps must update the parameters of the first step")
+    state.t += 1
+    corrections = state._corrections
+    corrections[0, 0] = 1.0 - ADAM_BETA1 ** state.t
+    corrections[1, 0] = 1.0 - ADAM_BETA2 ** state.t
+    for moments, rows, first, second, pieces in state._blocks:
+        for name, index, view in pieces:
+            view[...] = grads[name][index]
+        # m <- b1 m + (1 - b1) g and v <- b2 v + (1 - b2) g^2, then
+        # p -= lr * m_hat / (sqrt(v_hat) + eps): the scratch rows hold g and
+        # g^2, then m_hat and v_hat.  Each formula keeps its operation
+        # order, so the floats are those of one parameter at a time.
+        np.multiply(first, first, out=second)
+        moments *= _ADAM_BETAS
+        rows *= _ADAM_GRAD_SCALES
+        moments += rows
+        np.divide(moments, corrections, out=rows)
+        np.sqrt(second, out=second)
+        second += ADAM_EPS
+        first *= state.lr
+        first /= second
+        for name, index, view in pieces:
+            p = params[name][index]
+            p -= view
     return params, state
 
 
@@ -618,17 +696,19 @@ def _pixel_groups(config: TrainConfig, data: np.ndarray) -> tuple | None:
     n = data.shape[1]
     columns = np.ascontiguousarray(data.T)
     keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))).ravel()
-    # A stable sort puts equal columns side by side, each run led by its
-    # first pixel.
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    run_starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    leader = np.empty(n, dtype=np.intp)
-    leader[order] = order[run_starts][np.cumsum(run_starts) - 1]
-    first, group, size = np.unique(leader, return_inverse=True, return_counts=True)
+    groups = {}  # column bytes -> group
+    first, group = [], []
+    for i, key in enumerate(keys.tolist()):
+        g = groups.setdefault(key, len(groups))
+        if g == len(first):
+            first.append(i)
+        group.append(g)
     log.info("training on %d pixel groups of %d pixels; the pixels of a group are "
-             "equal in every training image", first.size, n)
-    return None if first.size == n else (first, group, size.astype(float))
+             "equal in every training image", len(first), n)
+    if len(first) == n:
+        return None
+    group = np.array(group, dtype=np.intp)
+    return np.array(first, dtype=np.intp), group, np.bincount(group).astype(float)
 
 
 def _train(config: TrainConfig, data) -> tuple:
@@ -674,7 +754,7 @@ def _train(config: TrainConfig, data) -> tuple:
             loss_value, grads, stats = gradients(trained, batch, rng=rng,
                                                  regularizer=config.regularizer,
                                                  output_weights=size)
-            if not np.isfinite(loss_value):
+            if not math.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, start // config.batch_size)
             adam_step(opt, params, grads)
             if groups is not None:

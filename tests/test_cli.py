@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import minsyn
+from minsyn import cli
 from minsyn.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from minsyn.cli import main
 from minsyn.config import parse_config
@@ -403,6 +404,24 @@ class TestEval:
         assert self._eval_csv(tmp_path, arrays, meta) is None
         assert "['encoder.0.weights']" in capsys.readouterr().err
 
+    def test_arrays_that_do_not_line_up_exit_3(self, tmp_path, capsys):
+        # A 784 -> 4 encoder whose moving-average statistics are for 5 latents.
+        arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
+        five, _ = self._minsyn_checkpoint_parts(((5, "sigmoid"),))
+        arrays.update({name: a for name, a in five.items() if name.startswith("ma.")})
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        err = capsys.readouterr().err
+        assert "data error: moving-average statistics ma.* of 784 outputs and 5 latents" in err
+        assert "784 inputs and 4 latents" in err
+        # A learned decoder 700 wide behind a 784-pixel encoder.
+        model = build_autoencoder(784, ((4, "sigmoid"),), "learned_sigmoid", seed=0)
+        arrays, meta = model_arrays(model, [0.0])
+        arrays["decoder.weights"] = arrays["decoder.weights"][:700]
+        arrays["decoder.bias"] = arrays["decoder.bias"][:700]
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert ("data error: decoder.weights has 700 outputs, but the encoder takes 784 "
+                "inputs") in capsys.readouterr().err
+
     def test_legacy_minsyn_meta_keys_are_ignored(self, tmp_path):
         arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
         assert "ma_momentum" not in meta and "ma_stats_kind" not in meta
@@ -450,6 +469,23 @@ class TestEval:
         images = self._digit_images(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "no.msck"),
                      "--images", str(images)]) == 3
+
+
+class TestMain:
+    def test_handler_replaced_after_the_parser_was_built_is_called(self, tmp_path,
+                                                                   monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        calls = []
+        train = cli.cmd_train
+
+        def recording(args):
+            calls.append(args.config)
+            return train(args)
+
+        monkeypatch.setattr(cli, "cmd_train", recording)
+        path = str(write_config(tmp_path, digits_config(tmp_path, epochs=1)))
+        assert cli.main(["train", "--config", path]) == 0
+        assert calls == [path]
 
 
 class TestSynergyCurve:

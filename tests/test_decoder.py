@@ -17,6 +17,7 @@ from minsyn.decoder import (
     row_blocks,
     update_moving_average,
     widen_outputs,
+    _clamp,
 )
 from minsyn.gaussian import RHO_CLAMP
 from minsyn.nn import TrainConfig, sigmoid, train_autoencoder
@@ -373,6 +374,98 @@ class TestRowBlockedReadout:
             if len(blocks) > 1:
                 assert min(b.stop - b.start for b in blocks) >= min_rows
         assert [b.stop for b in row_blocks(2000, 25088, 62)][-2:] == [1909, 2000]
+
+
+def _word_batch(rng, b=16, n=49, m=9):
+    """A word-shaped batch, one readout block: blank (unsupported) and
+    always-on columns, columns that copy a latent (conditionals and
+    correlations at their clamps), and latents in [0, 1]."""
+    z = rng.random((b, m))
+    z[:, :2] = z[:, :2] < 0.5
+    x = (rng.random((b, n)) < rng.random(n)).astype(float)
+    x[:, :3] = 0.0
+    x[:, 3] = 1.0
+    x[:, 4:6] = z[:, :2]
+    return x, z
+
+
+def _with_edge_entries(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with -0.0, NaN, out-of-range and boundary entries, and
+    a column of -0.0, whose sign a column sum keeps."""
+    a = a.copy()
+    a[0, :4] = [-0.0, np.nan, -0.25, 1.5]
+    a[1, :4] = [0.0, 1.0, -0.0, -np.nan]
+    a[:, 6] = -0.0
+    return a
+
+
+class TestLeanReadoutBytes:
+    """The readouts and batch statistics take their ufuncs directly; they
+    must give the bytes of the whole-array oracles and of np.clip."""
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (EPS, 1.0 - EPS),
+                                       (-(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP)])
+    def test_clamp_is_np_clip(self, lo, hi):
+        # Long enough for the vector loops and their tails.
+        v = np.array([-0.0, 0.0, np.nan, -np.nan, -1.0, 2.0, lo, hi, np.inf, -np.inf, 0.5] * 7)
+        want = np.clip(v, lo, hi).tobytes()
+        assert _clamp(v, lo, hi).tobytes() == want
+        assert _clamp(v, lo, hi, out=v).tobytes() == want and v.tobytes() == want
+
+    def test_binary_readout_equals_oracle(self):
+        x, z = _word_batch(np.random.default_rng(40))
+        stats = binary_batch_stats(x, z)
+        supported = (stats.x_mean >= EPS) & (stats.x_mean <= 1.0 - EPS)
+        assert not supported.all() and supported.any()
+        q1, q0, weights, bias = binary_readout_whole(
+            stats.x_mean, stats.z_mean, stats.xz_mean, EPS)
+        assert np.any(q1 == 1.0 - EPS) and np.any(q0 == EPS)
+        params = binary_decoder_params(stats)
+        assert np.array_equal(params.weights, weights) and np.array_equal(params.bias, bias)
+        got_q1, got_q0 = _conditionals(stats)
+        assert got_q1.tobytes() == q1.tobytes() and got_q0.tobytes() == q0.tobytes()
+        assert stats._supported.tobytes() == supported.tobytes()
+        assert stats.px1.tobytes() == np.clip(stats.x_mean, EPS, 1.0 - EPS).tobytes()
+
+    def test_gaussian_readout_equals_oracle(self):
+        x, z = _word_batch(np.random.default_rng(41))
+        stats = gaussian_batch_stats(x, z)
+        rho, weights, bias = gaussian_readout_whole(
+            stats.x_mean, stats.z_mean, stats.x_sq_mean, stats.z_sq_mean, stats.xz_mean,
+            RHO_CLAMP, STD_FLOOR)
+        assert np.any(np.abs(rho) == 1.0 - RHO_CLAMP) and np.any(stats.x_std == STD_FLOOR)
+        params = gaussian_decoder_params(stats)
+        assert np.array_equal(params.weights, weights) and np.array_equal(params.bias, bias)
+        assert _rho(stats).tobytes() == rho.tobytes()
+
+    def test_binary_batch_statistics_clip_like_np_clip(self):
+        x, z = _word_batch(np.random.default_rng(42))
+        x, z = _with_edge_entries(x), _with_edge_entries(z)
+        stats = binary_batch_stats(x, z)
+        xc, zc = np.clip(x, 0.0, 1.0), np.clip(z, 0.0, 1.0)
+        assert stats.x_mean.tobytes() == xc.mean(axis=0).tobytes()
+        assert stats.z_mean.tobytes() == zc.mean(axis=0).tobytes()
+        assert stats.xz_mean.tobytes() == (xc.T @ zc / x.shape[0]).tobytes()
+        assert np.isnan(stats.x_mean[1]) and not stats._supported[1]
+        assert stats.px1.tobytes() == np.clip(stats.x_mean, EPS, 1.0 - EPS).tobytes()
+        with np.errstate(invalid="ignore"):
+            q1, q0, _, _ = binary_readout_whole(stats.x_mean, stats.z_mean, stats.xz_mean, EPS)
+        got_q1, got_q0 = _conditionals(stats)
+        assert got_q1.tobytes() == q1.tobytes() and got_q0.tobytes() == q0.tobytes()
+
+    def test_gaussian_batch_statistics_equal_mean_and_clip(self):
+        x, z = _word_batch(np.random.default_rng(43))
+        x, z = _with_edge_entries(x), _with_edge_entries(z)
+        stats = gaussian_batch_stats(x, z)
+        assert stats.x_mean.tobytes() == x.mean(axis=0).tobytes()
+        assert stats.x_sq_mean.tobytes() == (x ** 2).mean(axis=0).tobytes()
+        assert stats.xz_mean.tobytes() == (x.T @ z / x.shape[0]).tobytes()
+        with np.errstate(invalid="ignore"):
+            rho, _, _ = gaussian_readout_whole(
+                stats.x_mean, stats.z_mean, stats.x_sq_mean, stats.z_sq_mean,
+                stats.xz_mean, RHO_CLAMP, STD_FLOOR)
+        assert np.isnan(rho).any()
+        assert _rho(stats).tobytes() == rho.tobytes()
 
 
 class TestMovingAverage:

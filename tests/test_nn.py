@@ -370,20 +370,46 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
 
-    def test_moments_allocated_on_first_use_only(self, monkeypatch):
-        zeros_like = np.zeros_like
-        calls = []
-
-        def counting_zeros_like(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return zeros_like(a, *args, **kwargs)
-
-        monkeypatch.setattr(nn.np, "zeros_like", counting_zeros_like)
+    def test_moment_buffers_persist_across_steps(self):
         params = {"w": np.ones((3, 2)), "b": np.ones(3)}
+        grads = {"w": np.full((3, 2), 0.5), "b": np.full(3, -0.5)}
         state = AdamState(lr=0.01)
-        for _ in range(5):
-            adam_step(state, params, {"w": np.full((3, 2), 0.5), "b": np.full(3, -0.5)})
-        assert sorted(calls) == [(3,), (3,), (3, 2), (3, 2)]
+        adam_step(state, params, grads)
+        moments = [state.m["w"], state.v["w"], state.m["b"], state.v["b"]]
+        # One flat buffer holds both moments of every parameter.
+        assert all(a.base is moments[0].base for a in moments)
+        for _ in range(4):
+            adam_step(state, params, grads)
+            now = [state.m["w"], state.v["w"], state.m["b"], state.v["b"]]
+            assert all(a is b for a, b in zip(now, moments))
+
+    def test_changed_parameter_set_rejected(self):
+        state = AdamState(lr=0.01)
+        adam_step(state, {"w": np.zeros(2)}, {"w": np.ones(2)})
+        with pytest.raises(ValueError, match="parameters of the first step"):
+            adam_step(state, {"w": np.zeros(3)}, {"w": np.ones(3)})
+        with pytest.raises(ValueError, match="parameters of the first step"):
+            adam_step(state, {"w": np.zeros(2), "b": np.zeros(1)},
+                      {"w": np.ones(2), "b": np.ones(1)})
+
+    def test_blocked_update_equals_textbook_per_parameter(self):
+        # Several blocks: parameters split by rows across blocks, a row wider
+        # than a block, small parameters sharing one, and a scalar.
+        shapes = {"enc": (100, 500), "bias": (100,), "dec": (500, 100), "wide": (2, 40000),
+                  "small": (3, 7), "scalar": ()}
+        assert sum(int(np.prod(s)) for s in shapes.values()) > 4 * nn.ADAM_BLOCK
+        rng = np.random.default_rng(19)
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+        state = AdamState(lr=0.002)
+        for t in range(1, 7):
+            grads = {k: rng.standard_normal(s) * 10.0 ** (t - 3) for k, s in shapes.items()}
+            adam_step(state, params, grads)
+            for k, g in grads.items():
+                ref[k] = adam_textbook(*ref[k], g, t, lr=0.002)
+                assert params[k].tobytes() == ref[k][0].tobytes(), (k, t)
+                assert state.m[k].tobytes() == ref[k][1].tobytes(), (k, t)
+                assert state.v[k].tobytes() == ref[k][2].tobytes(), (k, t)
 
     def test_matches_textbook_bit_for_bit_over_steps(self):
         rng = np.random.default_rng(18)
