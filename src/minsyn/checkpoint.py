@@ -15,7 +15,6 @@ round-trips byte for byte through load/save.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import struct
@@ -109,20 +108,15 @@ def model_arrays(model, history) -> tuple:
     meta["model_kind"] = "autoencoder"
     meta["decoder_kind"] = model.decoder_kind
     meta["encoder_activations"] = [layer.activation for layer in model.encoder]
-    for i, layer in enumerate(model.encoder):
-        arrays[f"encoder.{i}.weights"] = layer.weights
-        arrays[f"encoder.{i}.bias"] = layer.bias
+    arrays.update(model.parameters())
     if model.decoder is not None:
         meta["decoder_activation"] = model.decoder.activation
-        arrays["decoder.weights"] = model.decoder.weights
-        arrays["decoder.bias"] = model.decoder.bias
     else:
         ma = model.ma_state
         if ma.step_count == 0:
             raise ValueError("refusing to checkpoint an untrained minsyn model")
         meta["ma_step_count"] = ma.step_count
-        for f in dataclasses.fields(ma.stats):
-            arrays[f"ma.{f.name}"] = getattr(ma.stats, f.name)
+        arrays.update((f"ma.{name}", getattr(ma.stats, name)) for name in ma.stats.MOMENTS)
     return arrays, meta
 
 
@@ -155,7 +149,7 @@ def restore_model(ckpt: Checkpoint):
         decoder_kind = _meta_entry(meta, "decoder_kind", str)
         if decoder_kind in MINSYN_STATS:
             cls = MINSYN_STATS[decoder_kind]
-            stats = cls(**{f.name: arrays[f"ma.{f.name}"] for f in dataclasses.fields(cls)})
+            stats = cls(**{name: arrays[f"ma.{name}"] for name in cls.MOMENTS})
             ma = MovingAverageState(stats=stats,
                                     step_count=_meta_entry(meta, "ma_step_count", int))
             model = AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, ma_state=ma)

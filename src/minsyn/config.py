@@ -12,12 +12,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .nn import DECODER_KINDS, ACTIVATIONS, REGULARIZER_KINDS, Regularizer, TrainConfig
+from .nn import (ACTIVATIONS, DECODER_KINDS, REGULARIZER_KINDS, REGULARIZER_PARAMETER,
+                 Regularizer, TrainConfig)
 
 DATA_DIR_ENV = "MINSYN_DATA_DIR"
-
-DATASET_KINDS = ("words", "synthetic_digits", "idx")
-MODEL_KINDS = ("autoencoder", "pca")
 
 
 class ConfigError(ValueError):
@@ -61,19 +59,17 @@ def _choice(options):
 
 
 def _regularizer(section, path) -> Regularizer:
-    spec = _require_keys(section, path,
-                         {"kind": _choice(REGULARIZER_KINDS)},
-                         {"p": _typed(float, lambda v: 0.0 <= v < 1.0),
-                          "sigma": _typed(float, lambda v: v >= 0.0)})
+    """Each kind takes exactly the parameter ``REGULARIZER_PARAMETER`` names;
+    ``Regularizer`` checks its range."""
+    spec = _require_keys(section, path, {"kind": _choice(REGULARIZER_KINDS)},
+                         {"p": _typed(float), "sigma": _typed(float)})
     kind = spec["kind"]
-    if kind == "dropout" and "p" not in spec:
-        raise ConfigError(f"{path}: dropout needs 'p'")
-    if kind.endswith("gaussian_noise") and "sigma" not in spec:
-        raise ConfigError(f"{path}: {kind} needs 'sigma'")
-    if kind == "none" and (("p" in spec) or ("sigma" in spec)):
-        raise ConfigError(f"{path}: 'none' takes no parameters")
+    parameter = REGULARIZER_PARAMETER[kind]
+    if set(spec) != {"kind", parameter} - {None}:
+        raise ConfigError(f"{path}: {kind} needs " + (
+            "no parameters" if parameter is None else f"{parameter!r} and no other parameter"))
     try:
-        return Regularizer(kind=kind, p=spec.get("p", 0.0), sigma=spec.get("sigma", 0.0))
+        return Regularizer(**spec)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -103,55 +99,52 @@ class ExperimentConfig:
     output_dir: Path
 
 
-def _dataset_section(section, path) -> dict:
-    kind = section.get("kind") if isinstance(section, dict) else None
-    if kind == "words":
-        return {"kind": "words", **_require_keys(section, path, {
-            "kind": _choice(("words",)), "dir": _typed(str)})}
-    if kind == "synthetic_digits":
-        return {"kind": "synthetic_digits", **_require_keys(section, path, {
-            "kind": _choice(("synthetic_digits",)),
-            "train": _typed(int, lambda v: v >= 2),
-            "test": _typed(int, lambda v: v >= 1),
-            "seed": _typed(int)})}
-    if kind == "idx":
-        return {"kind": "idx", **_require_keys(section, path, {
-            "kind": _choice(("idx",)), "train_images": _typed(str)})}
-    raise ConfigError(f"{path}.kind: must be one of {list(DATASET_KINDS)}")
+def _kind_section(kinds: dict):
+    """Checker of a section whose ``kind`` picks its keys from ``kinds``,
+    {kind: {key: check}}; every key of the kind is required."""
+    def check(section, path):
+        kind = section.get("kind") if isinstance(section, dict) else None
+        if kind not in kinds:
+            raise ConfigError(f"{path}.kind: must be one of {list(kinds)}")
+        return _require_keys(section, path, {"kind": _choice(kinds), **kinds[kind]})
+    return check
+
+
+# The keys of each dataset kind and of each model kind.
+DATASETS = {
+    "words": {"dir": _typed(str)},
+    "synthetic_digits": {"train": _typed(int, lambda v: v >= 2),
+                         "test": _typed(int, lambda v: v >= 1),
+                         "seed": _typed(int)},
+    "idx": {"train_images": _typed(str)},
+}
+MODELS = {
+    "autoencoder": {"latents": _typed(int, lambda v: v >= 1),
+                    "encoder": _encoder_spec,
+                    "decoder_kind": _choice(DECODER_KINDS)},
+    "pca": {"latents": _typed(int, lambda v: v >= 1)},
+}
 
 
 def parse_config(document: dict) -> ExperimentConfig:
     top = _require_keys(document, "config", {
         "name": _typed(str, lambda s: len(s) > 0),
-        "dataset": _dataset_section,
-        "model": lambda v, p: v,
+        "dataset": _kind_section(DATASETS),
+        "model": _kind_section(MODELS),
         "output_dir": _typed(str, lambda s: len(s) > 0),
     }, {
         "training": lambda v, p: v,
     })
 
-    model = document["model"]
-    kind = model.get("kind") if isinstance(model, dict) else None
-    if kind == "pca":
-        m = _require_keys(model, "config.model", {
-            "kind": _choice(("pca",)),
-            "latents": _typed(int, lambda v: v >= 1)})
-    elif kind == "autoencoder":
-        m = _require_keys(model, "config.model", {
-            "kind": _choice(("autoencoder",)),
-            "latents": _typed(int, lambda v: v >= 1),
-            "encoder": _encoder_spec,
-            "decoder_kind": _choice(DECODER_KINDS)})
-        if m["encoder"][-1][0] != m["latents"]:
-            raise ConfigError(
-                "config.model: last encoder layer must have 'latents' units "
-                f"({m['encoder'][-1][0]} != {m['latents']})")
-    else:
-        raise ConfigError(f"config.model.kind: must be one of {list(MODEL_KINDS)}")
+    model = top["model"]
+    if model["kind"] == "autoencoder" and model["encoder"][-1][0] != model["latents"]:
+        raise ConfigError(
+            "config.model: last encoder layer must have 'latents' units "
+            f"({model['encoder'][-1][0]} != {model['latents']})")
 
     train = None
     if "training" in document:
-        if kind == "pca":
+        if model["kind"] == "pca":
             raise ConfigError("config.training: PCA models are fit directly, drop this section")
         training = _require_keys(document["training"], "config.training", {
             "epochs": _typed(int, lambda v: v >= 0),
@@ -161,9 +154,9 @@ def parse_config(document: dict) -> ExperimentConfig:
         }, {
             "regularizer": _regularizer,
         })
-        train = TrainConfig(decoder_kind=m["decoder_kind"], encoder_spec=m["encoder"],
+        train = TrainConfig(decoder_kind=model["decoder_kind"], encoder_spec=model["encoder"],
                             **training)
-    elif kind == "autoencoder":
+    elif model["kind"] == "autoencoder":
         raise ConfigError("config.training: required for autoencoder models")
 
     return ExperimentConfig(

@@ -15,7 +15,6 @@ same bytes as one whole-array pass.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,33 +94,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianStats:
-    """Raw first/second moments of a batch of outputs x and latents z.
+class _Moments:
+    """Raw moments of a batch of n outputs x and m latents z.
 
-    Derived views: per-variable standard deviations (floored at 1e-6) and,
-    row by row, the correlations rho (clamped to +-(1 - 1e-4)).  The
-    standard deviations and ``readout`` are built on first access and cached,
-    read-only; the raw moments must not be changed in place.
+    Each subclass declares its moments once, in ``MOMENTS``: field name ->
+    axes, "n" for one value per output, "m" for one per latent and "nm" for
+    an (n, m) table.  The moments are stored as float arrays, each checked
+    against its axes, with n the size of ``x_mean`` and m that of
+    ``z_mean``.  The objects are immutable: derived views are built on first
+    access and cached, read-only, so the raw moments must not be changed in
+    place.
     """
 
-    x_mean: np.ndarray
-    z_mean: np.ndarray
-    x_sq_mean: np.ndarray
-    z_sq_mean: np.ndarray
-    xz_mean: np.ndarray  # (n, m) raw E[x_i z_j]
+    MOMENTS: dict = {}
 
-    # The moments with one row per output.
-    PER_OUTPUT_FIELDS = ("x_mean", "x_sq_mean", "xz_mean")
+    def __init__(self, **moments):
+        if moments.keys() != self.MOMENTS.keys():
+            raise TypeError(f"{type(self).__name__} takes the moments {list(self.MOMENTS)}, "
+                            f"not {list(moments)}")
+        fields = self.__dict__
+        for name, value in moments.items():
+            fields[name] = np.asarray(value, dtype=float)
+        n, m = fields["x_mean"].size, fields["z_mean"].size
+        shapes = {"n": (n,), "m": (m,), "nm": (n, m)}
+        for name, axes in self.MOMENTS.items():
+            if fields[name].shape != shapes[axes]:
+                raise ValueError(f"{name} must have shape {shapes[axes]}, "
+                                 f"not {fields[name].shape}")
 
-    def __post_init__(self):
-        for name in ("x_mean", "z_mean", "x_sq_mean", "z_sq_mean", "xz_mean"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n, m = self.x_mean.size, self.z_mean.size
-        if self.x_sq_mean.shape != (n,) or self.z_sq_mean.shape != (m,):
-            raise ValueError("second-moment shapes do not match the means")
-        if self.xz_mean.shape != (n, m):
-            raise ValueError(f"xz_mean must have shape ({n}, {m})")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -130,6 +132,19 @@ class GaussianStats:
     @property
     def m(self) -> int:
         return self.z_mean.size
+
+
+class GaussianStats(_Moments):
+    """Raw first/second moments E[x], E[z], E[x^2], E[z^2] and E[x z] of a
+    batch of outputs x and latents z.
+
+    Derived views: per-variable standard deviations (floored at 1e-6) and,
+    row by row, the correlations rho (clamped to +-(1 - 1e-4)), both cached
+    with ``readout``.
+    """
+
+    MOMENTS = {"x_mean": "n", "z_mean": "m", "x_sq_mean": "n", "z_sq_mean": "m",
+               "xz_mean": "nm"}
 
     @cached_property
     def x_std(self) -> np.ndarray:
@@ -166,8 +181,7 @@ class GaussianStats:
         return DecoderParams(weights=_frozen(weights), bias=_frozen(bias))
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryStats:
+class BinaryStats(_Moments):
     """Raw Bernoulli moments E[x], E[z], E[x z] of a batch in [0, 1].
 
     Derived views give p(X_i = 1) and, row by row, the conditionals
@@ -175,31 +189,11 @@ class BinaryStats:
     An output with (almost) no mass on one side, E[x_i] outside
     [1e-4, 1 - 1e-4], gives the latents nothing to condition on; both its
     conditionals then fall back to the latent marginals, so such an output
-    draws zero evidence weight instead of a clamp artifact.  p(X_i = 1) and
-    ``readout`` are built on first access and cached, read-only; the raw
-    moments must not be changed in place.
+    draws zero evidence weight instead of a clamp artifact.  p(X_i = 1) is
+    cached with ``readout``.
     """
 
-    x_mean: np.ndarray
-    z_mean: np.ndarray
-    xz_mean: np.ndarray  # (n, m) raw E[x_i z_j]
-
-    # The moments with one row per output.
-    PER_OUTPUT_FIELDS = ("x_mean", "xz_mean")
-
-    def __post_init__(self):
-        for name in ("x_mean", "z_mean", "xz_mean"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.xz_mean.shape != (self.x_mean.size, self.z_mean.size):
-            raise ValueError("xz_mean shape does not match the means")
-
-    @property
-    def n(self) -> int:
-        return self.x_mean.size
-
-    @property
-    def m(self) -> int:
-        return self.z_mean.size
+    MOMENTS = {"x_mean": "n", "z_mean": "m", "xz_mean": "nm"}
 
     @cached_property
     def px1(self) -> np.ndarray:
@@ -262,11 +256,6 @@ class DecoderParams:
     bias: np.ndarray  # (n,)
 
 
-# The raw-moment fields of each statistics class, in declaration order.
-_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls))
-           for cls in (GaussianStats, BinaryStats)}
-
-
 def _batch_pair(x_batch, z_batch) -> tuple:
     x = np.asarray(x_batch, dtype=float)
     z = np.asarray(z_batch, dtype=float)
@@ -307,11 +296,8 @@ def widen_outputs(stats, group: np.ndarray):
     """``stats`` of one output per group of equal outputs, widened to every
     output: output i gets the per-output moments of its group ``group[i]``,
     as the statistics of the full batch would give it."""
-    widened = {}
-    for name in _FIELDS[type(stats)]:
-        value = getattr(stats, name)
-        widened[name] = value[group] if name in stats.PER_OUTPUT_FIELDS else value
-    return type(stats)(**widened)
+    return type(stats)(**{name: getattr(stats, name)[group] if axes[0] == "n"
+                          else getattr(stats, name) for name, axes in stats.MOMENTS.items()})
 
 
 def gaussian_decoder_params(stats: GaussianStats) -> DecoderParams:
@@ -360,15 +346,14 @@ def update_moving_average(state: MovingAverageState, batch) -> MovingAverageStat
             f"statistics type mismatch: running {type(running).__name__}, "
             f"batch {type(batch).__name__}"
         )
+    if running.xz_mean.shape != batch.xz_mean.shape:  # (n, m)
+        raise ValueError(f"shape mismatch: running statistics of {running.n} outputs and "
+                         f"{running.m} latents, batch of {batch.n} and {batch.m}")
     blended = {}
-    for name in _FIELDS[type(running)]:
-        old = getattr(running, name)
-        new = getattr(batch, name)
-        if old.shape != new.shape:
-            raise ValueError(f"shape mismatch on {name}: {old.shape} vs {new.shape}")
+    for name in running.MOMENTS:
         # mu * old + (1 - mu) * new, blended in the fresh product's buffer.
-        value = np.multiply(old, MA_MOMENTUM)
-        value += np.multiply(new, 1.0 - MA_MOMENTUM)
+        value = np.multiply(getattr(running, name), MA_MOMENTUM)
+        value += np.multiply(getattr(batch, name), 1.0 - MA_MOMENTUM)
         blended[name] = value
     return MovingAverageState(
         stats=type(running)(**blended), step_count=state.step_count + 1)

@@ -101,22 +101,18 @@ class DiscreteJoint:
     def m(self) -> int:
         return self.probs.ndim - 1
 
-    @property
-    def x_axis(self) -> int:
-        return self.probs.ndim - 1
-
     @cached_property
     def _x_marginal(self) -> np.ndarray:
         return _read_only(self.probs.sum(axis=tuple(range(self.m))))
 
     @cached_property
     def _z_marginal(self) -> np.ndarray:
-        return _read_only(self.probs.sum(axis=self.x_axis))
+        return _read_only(self.probs.sum(axis=self.m))
 
     @cached_property
     def _pair_marginals(self) -> tuple:
         """p(z_j, x) of each latent j, shape (arity_j, |X|)."""
-        return tuple(_read_only(self.marginal([j, self.x_axis])) for j in range(self.m))
+        return tuple(_read_only(self.marginal([j, self.m])) for j in range(self.m))
 
     @cached_property
     def _whole_mi(self) -> float:
@@ -129,8 +125,8 @@ class DiscreteJoint:
     def marginal(self, axes) -> np.ndarray:
         """Marginal over the given axes (latents by index, target = m)."""
         keep = sorted(set(axes))
-        if any(a < 0 or a > self.x_axis for a in keep):
-            raise ValueError(f"axis out of range for axes 0..{self.x_axis}")
+        if any(a < 0 or a > self.m for a in keep):
+            raise ValueError(f"axis out of range for axes 0..{self.m}")
         drop = tuple(a for a in range(self.probs.ndim) if a not in keep)
         return self.probs.sum(axis=drop)
 
@@ -219,7 +215,7 @@ def mutual_information(joint: DiscreteJoint, group) -> float:
         return joint._whole_mi
     if len(idx) == 1:
         return joint._single_mis[idx[0]]
-    return _table_mi(joint.marginal(idx + [joint.x_axis]))
+    return _table_mi(joint.marginal(idx + [joint.m]))
 
 
 def total_correlation(joint: DiscreteJoint) -> float:

@@ -93,7 +93,7 @@ def parse_idx(payload: bytes) -> IdxTensor:
     raw = np.frombuffer(payload, dtype=_NPDTYPE[dtype_code], count=count,
                         offset=header_end)
     if dtype_code == _DTYPE_UBYTE:
-        data = raw.astype(float) / 255.0
+        data = np.divide(raw, 255.0)
     else:
         data = raw.astype(float)
     return IdxTensor(dims=dims, data=data, dtype_code=dtype_code)

@@ -46,7 +46,10 @@ DECODER_KINDS = tuple(DECODER_OUTPUT)
 MINSYN_STATS = {"minsyn_binary": BinaryStats, "minsyn_gaussian": GaussianStats}
 MINSYN_KINDS = tuple(MINSYN_STATS)
 LOSS_KINDS = ("bce", "mse")
-REGULARIZER_KINDS = ("none", "dropout", "input_gaussian_noise", "latent_gaussian_noise")
+# The one parameter each regularizer kind reads, None for none.
+REGULARIZER_PARAMETER = {"none": None, "dropout": "p", "input_gaussian_noise": "sigma",
+                         "latent_gaussian_noise": "sigma"}
+REGULARIZER_KINDS = tuple(REGULARIZER_PARAMETER)
 
 BCE_CLAMP = 1e-7
 ADAM_BETA1 = 0.9
@@ -131,7 +134,9 @@ def init_dense_layer(rng: np.random.Generator, fan_in: int, fan_out: int,
 @dataclass(frozen=True)
 class Regularizer:
     """Training-time corruption: dropout on the latents, or additive
-    Gaussian noise on the inputs or latents.  p=0 / sigma=0 are exact no-ops."""
+    Gaussian noise on the inputs or latents.  A kind reads only its
+    ``REGULARIZER_PARAMETER``; the other must stay 0.  p=0 / sigma=0 are
+    exact no-ops."""
 
     kind: str = "none"
     p: float = 0.0
@@ -142,14 +147,16 @@ class Regularizer:
             raise ValueError(f"regularizer kind must be one of {REGULARIZER_KINDS}")
         if not (0.0 <= self.p < 1.0):
             raise ValueError("dropout probability must lie in [0, 1)")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("noise sigma must be >= 0")
+        for name in ("p", "sigma"):
+            if name != REGULARIZER_PARAMETER[self.kind] and getattr(self, name) != 0.0:
+                raise ValueError(f"regularizer {self.kind} reads no {name!r}")
 
     @property
     def is_noop(self) -> bool:
-        return (self.kind == "none"
-                or (self.kind == "dropout" and self.p == 0.0)
-                or (self.kind.endswith("gaussian_noise") and self.sigma == 0.0))
+        parameter = REGULARIZER_PARAMETER[self.kind]
+        return parameter is None or getattr(self, parameter) == 0.0
 
 
 NO_REGULARIZER = Regularizer()
@@ -360,7 +367,7 @@ class ForwardCache:
     batch_stats: GaussianStats | BinaryStats | None
 
 
-def _encode(model, x_input, mode, regularizer, rng) -> tuple:
+def _encode(model, x_input, regularizer, rng) -> tuple:
     pre, post = [], []
     h = x_input
     for layer in model.encoder:
@@ -370,7 +377,7 @@ def _encode(model, x_input, mode, regularizer, rng) -> tuple:
         post.append(h)
     dropout_mask = None
     z = h
-    if mode == "train" and not regularizer.is_noop:
+    if not regularizer.is_noop:
         if regularizer.kind == "dropout":
             keep = 1.0 - regularizer.p
             dropout_mask = (rng.random(h.shape) < keep) / keep
@@ -412,12 +419,14 @@ def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
         raise ValueError(f"batch shape {x.shape} does not match input dim {model.input_dim}")
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
-    if mode == "train" and not regularizer.is_noop and rng is None:
+    if mode == "eval":
+        regularizer = NO_REGULARIZER  # corruption is training-time only
+    elif not regularizer.is_noop and rng is None:
         raise ValueError("training with an active regularizer needs an rng")
     x_input = x
-    if mode == "train" and regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
+    if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
         x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
-    pre, post, z, mask = _encode(model, x_input, mode, regularizer, rng)
+    pre, post, z, mask = _encode(model, x_input, regularizer, rng)
     xbar, dec_pre, dec_exp, stats = _decode(model, x, z, mode)
     return ForwardCache(x_input=x_input, pre=pre, post=post, z=z,
                         dropout_mask=mask, decoder_pre=dec_pre, decoder_exp=dec_exp,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-ROWS = 28
+from .words import GLYPH_SIDE
+
 CHUNK = 4
 
 NOISE_KINDS = ("none", "bottom_half", "right_half", "erase_chunk", "v_stripe", "h_stripe")
@@ -29,29 +30,29 @@ def apply_noise(images, kind: str, seed: int = 0) -> np.ndarray:
     if kind not in NOISE_KINDS:
         raise ValueError(f"noise kind must be one of {NOISE_KINDS}")
     imgs = np.array(images, dtype=float)
-    if imgs.ndim != 2 or imgs.shape[1] % ROWS:
-        raise ValueError(f"images must be (B, {ROWS}*w) rasters")
+    if imgs.ndim != 2 or imgs.shape[1] % GLYPH_SIDE:
+        raise ValueError(f"images must be (B, {GLYPH_SIDE}*w) rasters")
     if kind == "none":
         return imgs
     b = imgs.shape[0]
-    w = imgs.shape[1] // ROWS
-    rast = imgs.reshape(b, ROWS, w)
+    w = imgs.shape[1] // GLYPH_SIDE
+    rast = imgs.reshape(b, GLYPH_SIDE, w)
     rng = np.random.default_rng(seed)
     if kind == "bottom_half":
-        rast[:, ROWS // 2:, :] = 0.0
+        rast[:, GLYPH_SIDE // 2:, :] = 0.0
     elif kind == "right_half":
         rast[:, :, w // 2:] = 0.0
     elif kind == "erase_chunk":
-        ty, tx = ROWS // CHUNK, w // CHUNK
+        ty, tx = GLYPH_SIDE // CHUNK, w // CHUNK
         drop = rng.random((b, ty, tx)) < 0.5
         mask = np.kron(drop, np.ones((CHUNK, CHUNK), dtype=bool))
-        full = np.zeros((b, ROWS, w), dtype=bool)
+        full = np.zeros((b, GLYPH_SIDE, w), dtype=bool)
         full[:, :ty * CHUNK, :tx * CHUNK] = mask
         rast[full] = 0.0
     elif kind == "v_stripe":
         cols = rng.random((b, w)) < 0.5
         rast[np.broadcast_to(cols[:, None, :], rast.shape)] = 0.5
     elif kind == "h_stripe":
-        rows = rng.random((b, ROWS)) < 0.5
+        rows = rng.random((b, GLYPH_SIDE)) < 0.5
         rast[np.broadcast_to(rows[:, :, None], rast.shape)] = 0.5
-    return rast.reshape(b, ROWS * w)
+    return rast.reshape(b, GLYPH_SIDE * w)

@@ -259,7 +259,7 @@ def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
         x_input = x
         if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
             x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
-        _, _, z, _ = nn._encode(model, x_input, "train", regularizer, rng)
+        _, _, z, _ = nn._encode(model, x_input, regularizer, rng)
         xbar = affine_readout(readout, z)
         if model.decoder_kind == "minsyn_binary":
             xbar = nn.sigmoid(xbar)

@@ -422,6 +422,12 @@ class TestEval:
         assert ("data error: decoder.weights has 700 outputs, but the encoder takes 784 "
                 "inputs") in capsys.readouterr().err
 
+    def test_statistics_of_the_wrong_shape_exit_3_naming_the_field(self, tmp_path, capsys):
+        arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
+        arrays["ma.x_mean"] = arrays["ma.x_mean"].reshape(28, 28)
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert "data error: x_mean must have shape (784,), not (28, 28)" in capsys.readouterr().err
+
     def test_legacy_minsyn_meta_keys_are_ignored(self, tmp_path):
         arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
         assert "ma_momentum" not in meta and "ma_stats_kind" not in meta

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import struct
 
@@ -74,6 +73,31 @@ class TestConfigSchema:
         doc["training"]["regularizer"] = {"kind": "dropout"}
         with pytest.raises(ConfigError, match="dropout needs"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "dropout", "p": 0.1, "sigma": 0.2}, "dropout needs 'p' and no other"),
+        ({"kind": "latent_gaussian_noise", "p": 0.1},
+         "latent_gaussian_noise needs 'sigma' and no other"),
+        ({"kind": "none", "p": 0.0}, "none needs no parameters"),
+        ({"kind": "dropout", "p": 1.0}, r"dropout probability must lie in \[0, 1\)"),
+        ({"kind": "input_gaussian_noise", "sigma": -0.5}, "noise sigma must be >= 0"),
+    ], ids=["extra_sigma", "p_for_noise", "p_for_none", "p_of_1", "negative_sigma"])
+    def test_regularizer_takes_its_one_parameter_in_range(self, spec, message):
+        doc = cfg_dict()
+        doc["training"]["regularizer"] = spec
+        with pytest.raises(ConfigError, match=f"config.training.regularizer: {message}"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section,kinds", [
+        ("dataset", "['words', 'synthetic_digits', 'idx']"),
+        ("model", "['autoencoder', 'pca']"),
+    ])
+    def test_unknown_section_kind_lists_the_kinds(self, section, kinds):
+        doc = cfg_dict()
+        doc[section]["kind"] = "magic"
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == f"config.{section}.kind: must be one of {kinds}"
 
     def test_unknown_regularizer_kind_lists_the_kinds(self):
         doc = cfg_dict()
@@ -182,7 +206,7 @@ class TestModelRestore:
         data = (np.random.default_rng(4).random((12, 5)) > 0.5).astype(float)
         model, history = train_autoencoder(cfg, data)
         arrays, meta = model_arrays(model, history)
-        names = [f.name for f in dataclasses.fields(model.ma_state.stats)]
+        names = list(model.ma_state.stats.MOMENTS)
         assert [k for k in arrays if k.startswith("ma.")] == [f"ma.{n}" for n in names]
         restored = restore_model(parse_checkpoint(dump_checkpoint({}, arrays, meta)))
         assert type(restored.ma_state.stats) is type(model.ma_state.stats)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -222,6 +220,49 @@ class TestBinaryDecoderParams:
             assert np.isfinite(params.bias).all()
 
 
+class TestStatisticsShapes:
+    """Each moment is checked against its axes in ``MOMENTS``, and a moment
+    of the wrong shape is named."""
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_each_moment_of_the_wrong_shape_is_named(self, kind):
+        stats = _random_stats(kind, 30)
+        good = {name: getattr(stats, name) for name in stats.MOMENTS}
+        assert type(stats)(**good).readout.weights.shape == (stats.n, stats.m)
+        for name, axes in stats.MOMENTS.items():
+            value = good[name]
+            bad = [value[..., None]]  # same size, one axis too many
+            if name not in ("x_mean", "z_mean"):  # those two set n and m
+                bad.append(value[:-1])
+            for wrong in bad:
+                with pytest.raises(ValueError, match=f"^{name} must have shape "):
+                    type(stats)(**{**good, name: wrong})
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_two_dimensional_means_are_rejected(self, kind):
+        # six outputs given as a (2, 3) x_mean against a (6, m) xz_mean
+        stats = _random_stats(kind, 31)
+        moments = {name: getattr(stats, name)[:6] if axes[0] == "n" else getattr(stats, name)
+                   for name, axes in stats.MOMENTS.items()}
+        moments["x_mean"] = moments["x_mean"].reshape(2, 3)
+        with pytest.raises(ValueError, match=r"^x_mean must have shape \(6,\), not \(2, 3\)"):
+            type(stats)(**moments)
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian"])
+    def test_missing_or_unknown_moments_are_a_type_error(self, kind):
+        stats = _random_stats(kind, 32)
+        good = {name: getattr(stats, name) for name in stats.MOMENTS}
+        with pytest.raises(TypeError, match="takes the moments"):
+            type(stats)(**{name: v for name, v in good.items() if name != "xz_mean"})
+        with pytest.raises(TypeError, match="takes the moments"):
+            type(stats)(**good, xx_mean=good["x_mean"])
+
+    def test_statistics_are_immutable(self):
+        stats = _random_stats("binary", 33)
+        with pytest.raises(AttributeError, match="immutable"):
+            stats.x_mean = stats.x_mean.copy()
+
+
 class TestWidenedOutputs:
     """Statistics of one output per group of equal outputs, widened to every
     output; the blank outputs, 0 in every sample, form one of the groups."""
@@ -240,12 +281,12 @@ class TestWidenedOutputs:
         grouped, ref = self._batches(kind)
         widened = widen_outputs(grouped, self.GROUP)
         assert type(widened) is type(ref)
-        for f in dataclasses.fields(ref):
-            ours, want = getattr(widened, f.name), getattr(ref, f.name)
-            assert ours.shape == want.shape, f.name
-            np.testing.assert_allclose(ours, want, rtol=1e-12, atol=0, err_msg=f.name)
-        for name in type(ref).PER_OUTPUT_FIELDS:
-            assert not getattr(widened, name)[self.GROUP == 2].any(), name
+        for name, axes in ref.MOMENTS.items():
+            ours, want = getattr(widened, name), getattr(ref, name)
+            assert ours.shape == want.shape, name
+            np.testing.assert_allclose(ours, want, rtol=1e-12, atol=0, err_msg=name)
+            if axes[0] == "n":
+                assert not ours[self.GROUP == 2].any(), name
 
     @pytest.mark.parametrize("kind", ["binary", "gaussian"])
     def test_every_output_reads_out_its_groups_row(self, kind):
@@ -278,8 +319,7 @@ class TestReadoutCache:
         stats = _random_stats(kind, 20)
         first = READOUTS[kind](stats)
         assert READOUTS[kind](stats) is first
-        fresh = type(stats)(**{f.name: getattr(stats, f.name).copy()
-                               for f in dataclasses.fields(stats)})
+        fresh = type(stats)(**{name: getattr(stats, name).copy() for name in stats.MOMENTS})
         rebuilt = READOUTS[kind](fresh)
         assert rebuilt is not first and _same_params(rebuilt, first)
 
@@ -313,8 +353,8 @@ class TestReadoutCache:
         new = READOUTS[kind](state.stats)
         assert not np.array_equal(new.weights, old.weights)
         mu = MA_MOMENTUM
-        blended = type(s1)(**{f.name: mu * getattr(s1, f.name) + (1.0 - mu) * getattr(s2, f.name)
-                              for f in dataclasses.fields(s1)})
+        blended = type(s1)(**{name: mu * getattr(s1, name) + (1.0 - mu) * getattr(s2, name)
+                              for name in s1.MOMENTS})
         assert _same_params(new, READOUTS[kind](blended))
 
 

@@ -40,6 +40,12 @@ class TestParse:
         t = parse_idx(payload)
         assert t.data[0] == pytest.approx(51 / 255)
 
+    def test_every_byte_value_scales_as_a_float_division(self):
+        payload = struct.pack(">II", 0x00000801, 256) + bytes(range(256))
+        t = parse_idx(payload)
+        assert t.data.dtype == np.float64
+        assert t.data.tobytes() == (np.arange(256).astype(float) / 255.0).tobytes()
+
     def test_bad_magic(self):
         with pytest.raises(IdxParseError, match="magic"):
             parse_idx(struct.pack(">I", 0xDEADBEEF))

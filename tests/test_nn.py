@@ -113,6 +113,21 @@ class TestForward:
                               rng=np.random.default_rng(0), regularizer=reg)
             assert np.array_equal(z, base[0]) and np.array_equal(xbar, base[1])
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"kind": "dropout", "p": 0.2, "sigma": 0.3}, "sigma"),
+        ({"kind": "none", "p": 0.1}, "p"),
+        ({"kind": "none", "sigma": 0.1}, "sigma"),
+        ({"kind": "input_gaussian_noise", "p": 0.2}, "p"),
+        ({"kind": "latent_gaussian_noise", "sigma": 0.3, "p": 0.2}, "p"),
+    ])
+    def test_regularizer_rejects_a_parameter_its_kind_does_not_read(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"reads no '{name}'"):
+            Regularizer(**kwargs)
+
+    def test_regularizer_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            Regularizer(kind="latent_gaussian_noise", sigma=float("nan"))
+
 
 class TestSigmoid:
     def test_edge_values_match_two_branch_bit_for_bit(self):
