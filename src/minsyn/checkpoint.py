@@ -132,13 +132,22 @@ def _meta_entry(meta: dict, key: str, kind: type, item: type | None = None):
     return value
 
 
+class _Arrays(dict):
+    """A checkpoint's arrays by name; reading one it lacks is a ValueError
+    that names it."""
+
+    def __missing__(self, name: str):
+        raise ValueError(f"checkpoint array {name} is missing")
+
+
 def restore_model(ckpt: Checkpoint):
     """Rebuild the Python model object from a parsed checkpoint.
 
     An array that is not part of the model the meta describes is a
-    ValueError.  Meta keys no model reads, such as the ``ma_momentum`` and
-    ``ma_stats_kind`` of older checkpoints, are ignored."""
-    meta, arrays = ckpt.meta, ckpt.arrays
+    ValueError, and so is a missing one.  Meta keys no model reads, such as
+    the ``ma_momentum`` and ``ma_stats_kind`` of older checkpoints, are
+    ignored."""
+    meta, arrays = ckpt.meta, _Arrays(ckpt.arrays)
     if _meta_entry(meta, "model_kind", str) == "pca":
         model = PcaModel(components=arrays["pca.components"], mean=arrays["pca.mean"])
     else:

@@ -111,8 +111,43 @@ class DiscreteJoint:
 
     @cached_property
     def _pair_marginals(self) -> tuple:
-        """p(z_j, x) of each latent j, shape (arity_j, |X|)."""
-        return tuple(_read_only(self.marginal([j, self.m])) for j in range(self.m))
+        """p(z_j, x) of each latent j, shape (arity_j, |X|).
+
+        A weighted bincount adds each output's cells one at a time in C
+        order, from 0.0, as ``marginal([j, m])`` does while x is the inner
+        axis of numpy's loop.  With |X| = 1 that sum runs pairwise along a
+        dropped axis instead, so it stays the marginal.
+        """
+        *latents, nx = self.arities
+        if nx == 1:
+            return tuple(_read_only(self.marginal([j, self.m])) for j in range(self.m))
+        flat, pairs = self.probs.ravel(), []
+        for j, a in enumerate(latents):
+            # the code z_j |X| + x of every cell, in C order
+            block = np.arange(a * nx).reshape(a, 1, nx).repeat(math.prod(latents[j + 1:]), axis=1)
+            codes = np.tile(block.ravel(), math.prod(latents[:j]))
+            pairs.append(_read_only(np.bincount(codes, flat, a * nx).reshape(a, nx)))
+        return tuple(pairs)
+
+    @cached_property
+    def _pair_entropies(self) -> tuple:
+        """H(Z_j), H(X) and H(Z_j, X) of each latent's pair table, three
+        lists of floats in latent order.
+
+        The tables of one shape are stacked.  A row-wise reduce runs, on
+        each row, the summation numpy runs on that row alone, so every
+        entropy has the bits _table_mi gives the table.
+        """
+        shapes = {}
+        for j, p_jx in enumerate(self._pair_marginals):
+            shapes.setdefault(p_jx.shape, []).append(j)
+        h = np.empty((3, self.m))
+        for js in shapes.values():
+            t = np.stack([self._pair_marginals[j] for j in js])
+            for row, p in enumerate((np.add.reduce(t, axis=2), np.add.reduce(t, axis=1),
+                                     t.reshape(len(js), -1))):
+                h[row, js] = -np.add.reduce(_xlogx(p), axis=1)
+        return tuple(h.tolist())
 
     @cached_property
     def _whole_mi(self) -> float:
@@ -120,7 +155,7 @@ class DiscreteJoint:
 
     @cached_property
     def _single_mis(self) -> tuple:
-        return tuple(_table_mi(p_jx) for p_jx in self._pair_marginals)
+        return tuple(max(0.0, h_z + h_x - h_zx) for h_z, h_x, h_zx in zip(*self._pair_entropies))
 
     def marginal(self, axes) -> np.ndarray:
         """Marginal over the given axes (latents by index, target = m)."""
@@ -221,16 +256,11 @@ def mutual_information(joint: DiscreteJoint, group) -> float:
 def total_correlation(joint: DiscreteJoint) -> float:
     """TC(Z_{1:m}) = sum_j H(Z_j) - H(Z_{1:m}) over the latent marginal.
 
-    Zero exactly when the latents are independent.
+    Zero exactly when the latents are independent.  Each H(Z_j) is that of
+    p(z_j) summed from the cached (z_j, x) pair table.
     """
-    # H(Z_j) from the latent marginal, not from the cached (z_j, x) pairs:
-    # those sums would round differently.
-    pz = joint._z_marginal
-    singles = sum(
-        _entropy(pz.sum(axis=tuple(a for a in range(pz.ndim) if a != j)))
-        for j in range(pz.ndim)
-    )
-    return max(0.0, singles - _entropy(pz.ravel()))
+    singles = sum(joint._pair_entropies[0])
+    return max(0.0, singles - _entropy(joint._z_marginal.ravel()))
 
 
 @dataclass(frozen=True, eq=False)

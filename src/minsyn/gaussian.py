@@ -38,9 +38,10 @@ def _as_rho_vector(rho) -> np.ndarray:
     r = np.atleast_1d(np.asarray(rho, dtype=float))
     if r.ndim != 1 or r.size == 0:
         raise ValueError("rho must be a non-empty 1-D vector of correlations")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("rho contains non-finite entries")
-    if np.any(np.abs(r) >= 1.0):
+    # |r| < 1 is false for NaN and inf too; only then is the cause sorted out
+    if not np.less(np.abs(r), 1.0).all():
+        if not np.isfinite(r).all():
+            raise ValueError("rho contains non-finite entries")
         raise ValueError("correlations must satisfy |rho_j| < 1")
     return r
 
@@ -75,6 +76,17 @@ def _singular(eig_min: float) -> ConditioningError:
     )
 
 
+# What _check_stack raises for each of its checks, in the order they run.
+_STACK_ERRORS = (
+    "sigma_z contains non-finite entries",
+    "sigma_z must be symmetric",
+    "sigma_z must have a unit diagonal",
+    "sigma_z is not positive semidefinite",
+    "joint covariance [[sigma_z, rho], [rho^T, 1]] is not positive "
+    "semidefinite: the requested correlations are not realizable",
+)
+
+
 def _check_stack(rho: np.ndarray, sigma: np.ndarray, singular_is_error: bool) -> np.ndarray:
     """Validate k systems at once and return the smallest eigenvalue of each
     latent matrix.
@@ -94,22 +106,16 @@ def _check_stack(rho: np.ndarray, sigma: np.ndarray, singular_is_error: bool) ->
     off_diagonal = np.abs(np.diagonal(sigma, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-12
     eig_min = np.linalg.eigvalsh(sigma).min(axis=1)
     joint_min = np.linalg.eigvalsh(_joint_stack(rho, sigma)).min(axis=1)
-    checks = [
-        (~finite, lambda i: ValueError("sigma_z contains non-finite entries")),
-        (asymmetric, lambda i: ValueError("sigma_z must be symmetric")),
-        (off_diagonal, lambda i: ValueError("sigma_z must have a unit diagonal")),
-        (eig_min < -PSD_TOL, lambda i: ValueError("sigma_z is not positive semidefinite")),
-        (joint_min < -PSD_TOL, lambda i: ValueError(
-            "joint covariance [[sigma_z, rho], [rho^T, 1]] is not positive "
-            "semidefinite: the requested correlations are not realizable")),
-    ]
+    checks = [~finite, asymmetric, off_diagonal, eig_min < -PSD_TOL, joint_min < -PSD_TOL]
     if singular_is_error:
-        checks.append((eig_min < _SINGULAR_EIG, lambda i: _singular(eig_min[i])))
-    failures = [(int(np.argmax(bad)), order)
-                for order, (bad, _) in enumerate(checks) if bad.any()]
-    if failures:
-        row, order = min(failures)
-        raise checks[order][1](row)
+        checks.append(eig_min < _SINGULAR_EIG)
+    failed = np.array(checks)  # (check, system)
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        order = int(np.argmax(failed[:, row]))
+        if order == len(_STACK_ERRORS):
+            raise _singular(eig_min[row])
+        raise ValueError(_STACK_ERRORS[order])
     return eig_min
 
 
@@ -253,7 +259,11 @@ def gk_union_information(rho) -> float:
     U = -1/2 ln(1 - rho_k^2) with k = argmax_j |rho_j| (ties broken toward
     the lowest index).
     """
-    r = _as_rho_vector(rho)
+    return _union_information(_as_rho_vector(rho))
+
+
+def _union_information(r: np.ndarray) -> float:
+    """gk_union_information of a vector _as_rho_vector accepted."""
     k = int(np.argmax(np.abs(r)))
     return float(_single_predictor_information(r[k : k + 1])[0])
 
@@ -265,7 +275,7 @@ def gk_synergy(sys: GaussianSystem) -> float:
     computed as gaussian_mutual_information(sys) - gk_union_information(rho)
     so the two readings share one floating-point path.
     """
-    s = gaussian_mutual_information(sys) - gk_union_information(sys.rho)
+    s = gaussian_mutual_information(sys) - _union_information(sys.rho)
     return max(0.0, s)
 
 
@@ -281,13 +291,14 @@ def gk_minimizing_covariance(rho) -> GaussianSystem:
     r = _as_rho_vector(rho)
     mags = np.abs(r)
     k = int(np.argmax(mags))
-    if np.count_nonzero(mags == mags[k]) > 1:
+    others = mags != mags[k]
+    if np.count_nonzero(others) < r.size - 1:
         raise DegeneracyError(
             "two or more predictors tie for the largest |rho|; the "
             "synergy-minimizing covariance is degenerate"
         )
     v = r / r[k]  # v[k] == 1
-    off = np.delete(v, k)
+    off = v[others]
     if off @ off <= 1.0 - 1e-6:
         sigma = np.eye(r.size)
         sigma[k, :] = v
@@ -313,8 +324,15 @@ def gaussian_ci_posterior(rho) -> CiPosterior:
     r = np.atleast_1d(np.asarray(rho, dtype=float))
     if r.ndim != 1 or r.size == 0:
         raise ValueError("rho must be a non-empty 1-D vector")
-    weights, one_plus_big_r = ci_weights(np.clip(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP))
-    return CiPosterior(weights=weights, variance=float(1.0 / one_plus_big_r))
+    return CiPosterior(*_ci_posterior(r))
+
+
+def _ci_posterior(r: np.ndarray) -> tuple:
+    """(weights, variance) of gaussian_ci_posterior for a 1-D rho.  The clamp
+    puts the bound first in the maximum, which keeps np.clip's bytes."""
+    clamped = np.minimum(np.maximum(-(1.0 - RHO_CLAMP), r), 1.0 - RHO_CLAMP)
+    weights, one_plus_big_r = ci_weights(clamped)
+    return weights, float(1.0 / one_plus_big_r)
 
 
 def ci_weights(r: np.ndarray) -> tuple:
@@ -340,17 +358,17 @@ def gaussian_ci_synergy(sys: GaussianSystem) -> float:
         CI = 1/2 ln(v / s2) + (s2 + d^T Sigma_z d) / (2 v) - 1/2.
     """
     beta, q = sys._readout
-    return _ci_synergy(sys.sigma_z, beta, q, gaussian_ci_posterior(sys.rho))
+    return _ci_synergy(sys.sigma_z, beta, q, *_ci_posterior(sys.rho))
 
 
-def _ci_synergy(sigma: np.ndarray, beta: np.ndarray, q: float, post: CiPosterior) -> float:
+def _ci_synergy(sigma: np.ndarray, beta: np.ndarray, q: float, weights: np.ndarray,
+                v: float) -> float:
     s2 = 1.0 - q
     if s2 <= 0.0:
         # Deterministic target: the KL to any fixed-variance posterior diverges.
         return np.inf
-    d = beta - post.weights
+    d = beta - weights
     gap = float(d @ sigma @ d)
-    v = post.variance
     ci = 0.5 * np.log(v / s2) + (s2 + gap) / (2.0 * v) - 0.5
     return max(0.0, ci)
 
@@ -374,13 +392,13 @@ def pair_curve(rho1: float, rho2: float, sigma12) -> dict:
     rho = np.broadcast_to(r, (s12.size, 2))
     _check_stack(rho, sigma, singular_is_error=True)
     beta, q = _solve_stack(rho, sigma)
-    union = gk_union_information(r)
-    post = gaussian_ci_posterior(r)
+    union = _union_information(r)
+    post = _ci_posterior(r)
     mi = [_mutual_information(qi) for qi in q]
     return {
         "mutual_information": np.array(mi),
         "union_information": np.full(s12.size, union),
         "gk_synergy": np.array([max(0.0, v - union) for v in mi]),
-        "ci_synergy": np.array([_ci_synergy(s, b, qi, post)
+        "ci_synergy": np.array([_ci_synergy(s, b, qi, *post)
                                 for s, b, qi in zip(sigma, beta, q)]),
     }

@@ -195,6 +195,21 @@ def literal_ci_synergy(joint: np.ndarray) -> float:
     return total
 
 
+def total_correlation_per_axis(joint: np.ndarray) -> float:
+    """TC(Z_{1:m}) = sum_j H(Z_j) - H(Z_{1:m}) of a (z_1, ..., z_m, x) table,
+    each H(Z_j) summed from the latent marginal over the other m - 1 latent
+    axes, as `discrete` computed it before it took H(Z_j) from the (z_j, x)
+    pair tables."""
+    def entropy(p):
+        p = p[p > 0.0]
+        return float(-(p * np.log(p)).sum())
+
+    pz = joint.sum(axis=-1)
+    singles = sum(entropy(pz.sum(axis=tuple(a for a in range(pz.ndim) if a != j)))
+                  for j in range(pz.ndim))
+    return max(0.0, singles - entropy(pz.ravel()))
+
+
 def bayes_posterior_binary(p_x1: float, pz1_given_x1: np.ndarray,
                            pz1_given_x0: np.ndarray, z: np.ndarray) -> float:
     """p(X=1 | z) for conditionally independent binary latents, by Bayes."""
@@ -390,6 +405,18 @@ def closed_form_measures(rho: np.ndarray, sigma: np.ndarray) -> tuple:
         gap = float(d @ sigma @ d)
         ci = max(0.0, 0.5 * np.log(v / s2) + (s2 + gap) / (2.0 * v) - 0.5)
     return mi, wms, gk, ci
+
+
+def arrowhead_sigma(rho: np.ndarray, k: int) -> np.ndarray:
+    """The GK-minimizing covariance: v = rho / rho_k in row and column k, and
+    zeros elsewhere off the diagonal unless v without v_k has squared norm
+    above 1 - 1e-6, in which case v v^T with a unit diagonal."""
+    v = rho / rho[k]
+    rest = np.delete(v, k)
+    sigma = np.outer(v, v) if rest @ rest > 1.0 - 1e-6 else np.eye(rho.size)
+    sigma[k, :] = sigma[:, k] = v
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
 
 
 def synergy_curve_grid(rho1: float, rho2: float, steps: int) -> np.ndarray:

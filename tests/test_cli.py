@@ -422,6 +422,17 @@ class TestEval:
         assert ("data error: decoder.weights has 700 outputs, but the encoder takes 784 "
                 "inputs") in capsys.readouterr().err
 
+    def test_missing_checkpoint_arrays_exit_3_naming_the_array(self, tmp_path, capsys):
+        arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
+        del arrays["ma.xz_mean"]
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert "data error: checkpoint array ma.xz_mean is missing" in capsys.readouterr().err
+        model = build_autoencoder(784, ((4, "sigmoid"),), "learned_sigmoid", seed=0)
+        arrays, meta = model_arrays(model, [0.0])
+        del arrays["encoder.0.bias"]
+        assert self._eval_csv(tmp_path, arrays, meta) is None
+        assert "data error: checkpoint array encoder.0.bias is missing" in capsys.readouterr().err
+
     def test_statistics_of_the_wrong_shape_exit_3_naming_the_field(self, tmp_path, capsys):
         arrays, meta = self._minsyn_checkpoint_parts(((4, "sigmoid"),))
         arrays["ma.x_mean"] = arrays["ma.x_mean"].reshape(28, 28)

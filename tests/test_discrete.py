@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from minsyn.discrete import (
     DiscreteJoint,
+    _table_mi,
     ci_decoder_distribution,
     discrete_ci_synergy,
     discrete_wms_synergy,
@@ -16,7 +17,7 @@ from minsyn.discrete import (
     total_correlation,
 )
 
-from _oracles import literal_ci_synergy
+from _oracles import literal_ci_synergy, total_correlation_per_axis
 
 LN2 = np.log(2.0)
 
@@ -400,3 +401,51 @@ class TestSharedMarginals:
         ci_decoder_distribution(joint)
         discrete_wms_synergy(joint)
         assert builds == dict.fromkeys(CACHES, 1)
+
+
+def stacked_path_tables():
+    """Binary joints with m = 1..12, mixed arities with zero cells, a latent
+    arity and a |X| of at least 9 (lengths numpy sums pairwise), |X| = 1,
+    and a table whose zero cells are given as -0.0."""
+    rng = np.random.default_rng(31)
+    tables = [rng.dirichlet(np.ones(2 ** (m + 1))).reshape((2,) * (m + 1)) for m in range(1, 13)]
+    tables += [mixed_joint(rng, arities).probs
+               for arities in MIXED_ARITIES + [(9, 2, 3), (2, 3, 11), (10, 2, 2, 9), (3, 12, 1)]]
+    signed = mixed_joint(rng, (3, 2, 4)).probs.copy()
+    signed[signed == 0.0] = -0.0
+    return tables + [signed]
+
+
+def old_formula_joint(table) -> DiscreteJoint:
+    """A joint whose pair tables and single-latent MIs are cached from the
+    formulas the stacked paths replace: marginal([j, m]) and _table_mi."""
+    joint = DiscreteJoint(table)
+    pairs = tuple(joint.marginal([j, joint.m]) for j in range(joint.m))
+    vars(joint).update(_pair_marginals=pairs, _single_mis=tuple(map(_table_mi, pairs)))
+    return joint
+
+
+class TestStackedPairPaths:
+    """The pair tables by one bincount per latent, and the single-latent
+    entropies stacked by table shape, keep the bits of the per-latent sums."""
+
+    def test_tables_cover_signed_zeros(self):
+        table = stacked_path_tables()[-1]
+        assert np.signbit(table[table == 0.0]).all() and (table == 0.0).any()
+
+    @pytest.mark.parametrize("table", stacked_path_tables(), ids=lambda t: str(t.shape))
+    def test_same_bits_as_the_per_latent_formulas(self, table):
+        joint, old = DiscreteJoint(table), old_formula_joint(table)
+        for new_pair, old_pair in zip(joint._pair_marginals, old._pair_marginals, strict=True):
+            assert new_pair.shape == old_pair.shape
+            assert new_pair.tobytes() == old_pair.tobytes()
+        assert repr(joint._single_mis) == repr(old._single_mis)
+        for f in (discrete_ci_synergy, discrete_wms_synergy, _whole_mi):
+            assert repr(f(joint)) == repr(f(old))
+
+    @pytest.mark.parametrize("table", stacked_path_tables(), ids=lambda t: str(t.shape))
+    def test_total_correlation_within_rounding_of_the_per_axis_formula(self, table):
+        # H(Z_j) comes from the (z_j, x) pair tables, whose sums round differently.
+        joint = DiscreteJoint(table)
+        assert total_correlation(joint) == pytest.approx(
+            total_correlation_per_axis(joint.probs), rel=0.0, abs=1e-14)

@@ -21,6 +21,7 @@ from minsyn.gaussian import (
 )
 
 from _oracles import (
+    arrowhead_sigma,
     ci_posterior_direct,
     ci_posterior_numeric,
     closed_form_measures,
@@ -134,6 +135,36 @@ class TestGaussianSystem:
             got = tuple(f(GaussianSystem(rho, sigma)) for f in MEASURES)
             # repr tells floats apart by their bits and by their type
             assert repr(got) == repr(closed_form_measures(rho, sigma))
+            # and GK synergy at the GK-minimizing covariance
+            at_min = gk_minimizing_covariance(rho)
+            k = int(np.argmax(np.abs(rho)))
+            assert at_min.sigma_z.tobytes() == arrowhead_sigma(rho, k).tobytes()
+            assert repr(gk_synergy(at_min)) == repr(closed_form_measures(rho, at_min.sigma_z)[2])
+
+
+class TestRhoChecks:
+    """Each public entry point checks rho once and reports the first failing
+    check: a non-finite entry before a |rho_j| >= 1 one."""
+
+    ENTRY_POINTS = {
+        "system": lambda r: GaussianSystem(r, np.eye(r.size)),
+        "union": gk_union_information,
+        "minimizer": gk_minimizing_covariance,
+        "curve": lambda r: pair_curve(*r[:2], np.zeros(1)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("rho, message", [
+        ([np.nan, 1.5], "rho contains non-finite entries"),
+        ([1.5, np.nan], "rho contains non-finite entries"),
+        ([-1.0, np.inf], "rho contains non-finite entries"),
+        ([0.2, -np.inf], "rho contains non-finite entries"),
+        ([0.2, 1.0], "correlations must satisfy |rho_j| < 1"),
+        ([-1.2, 0.3], "correlations must satisfy |rho_j| < 1"),
+    ])
+    def test_first_failing_check_wins(self, entry, rho, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            self.ENTRY_POINTS[entry](np.array(rho))
 
 
 def _bits(values) -> bytes:
