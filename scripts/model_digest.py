@@ -18,14 +18,17 @@ The script prints, one fact per line:
   `to_text()` and of the bytes of `from_text(to_text()).probs`;
 - each checkpoint's `meta` as sorted JSON, the SHA-256 of every
   checkpoint array and of history.csv;
+- for digits configs, the SHA-256 of the training digits' images and
+  labels, drawn by `synthetic_digits` with the config's count and seed;
 - for MinSyn configs, how many groups of pixels with equal training
   columns there are: MinSyn training runs one pixel per group;
 - for MinSyn models, the SHA-256 of the moving-average readout's weights
   and bias;
 - for word models, the report losses (train and test, mse) and acc;
-- for digits models, the eval loss (`EVAL_LOSS`) under every noise kind,
-  corrupted with `EVAL_NOISE_SEED`, on a seeded set of synthetic digits
-  written to and read back from an IDX file as `minsyn eval` reads it.
+- the SHA-256 of the images and labels of a seeded set of synthetic digits
+  and, for digits models, the eval loss (`EVAL_LOSS`) under every noise
+  kind, corrupted with `EVAL_NOISE_SEED`, on those images written to and
+  read back from an IDX file as `minsyn eval` reads it.
 
 Floats are printed with repr, so two checkouts whose output is identical
 train the same bytes and score them to the same floats.  Run from the
@@ -72,6 +75,11 @@ def array_sha(a) -> str:
     return sha(np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes())
 
 
+def digits_sha(count: int, seed: int) -> str:
+    images, labels = synthetic_digits(count, seed=seed)
+    return f"images {array_sha(images)} labels {sha(labels.astype('<i8').tobytes())}"
+
+
 def run(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([str(a) for a in argv])
@@ -101,6 +109,8 @@ def digest(name: str, config_path: Path, eval_images: Path):
     for key, array in ckpt.arrays.items():
         yield f"{name} array {key} {array_sha(array)}"
     yield f"{name} history.csv {sha((run_dir / 'history.csv').read_bytes())}"
+    if cfg.dataset["kind"] == "synthetic_digits":
+        yield f"{name} training digits {digits_sha(cfg.dataset['train'], cfg.dataset['seed'])}"
     if cfg.train is not None and cfg.train.decoder_kind in MINSYN_KINDS:
         columns = cli.load_experiment_data(cfg).T
         groups = len({column.tobytes() for column in columns})
@@ -192,6 +202,7 @@ def main() -> None:
     for line in synergy_digest(out_dir, args.seed):
         print(line, flush=True)
     run(["dataset-build", "--out-dir", out_dir / "data", "--glyphs", "builtin"])
+    print(f"eval digits {digits_sha(EVAL_IMAGES, EVAL_IMAGE_SEED)}", flush=True)
     images, _ = synthetic_digits(EVAL_IMAGES, seed=EVAL_IMAGE_SEED)
     eval_images = out_dir / "eval_images.idx"
     write_idx_file(eval_images, images_tensor(images))

@@ -218,10 +218,9 @@ def cmd_synergy_curve(args) -> int:
               for name, column in gaussian.pair_curve(rho1, rho2, grid).items()}
     header = ["sigma12", *series]
     sigma12 = grid.tolist()
-    rows = list(zip(sigma12, *series.values()))
+    row_format = ",".join(["%.12g"] * len(header))  # f"{v:.12g}" of each value
     csv_lines = [",".join(header)]
-    for row in rows:
-        csv_lines.append(",".join(f"{v:.12g}" for v in row))
+    csv_lines += [row_format % row for row in zip(sigma12, *series.values())]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "synergy_curve.csv").write_text("\n".join(csv_lines) + "\n")

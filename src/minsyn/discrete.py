@@ -16,6 +16,9 @@ from itertools import product
 import numpy as np
 
 MAX_LATENTS = 12
+# from_text refuses, before allocating, a table of more cells than this
+# (128 MiB of float64); arities come from the symbols in the text.
+MAX_TEXT_CELLS = 2 ** 24
 _SUM_TOL = 1e-12
 
 
@@ -31,6 +34,24 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=-1) with its bits, in whole-array passes when
+    the last axis is short.
+
+    numpy sums a row shorter than 8 one element at a time from +0.0, but in
+    one tiny inner loop per row; adding the columns in order runs that sum
+    for every row at once.  Longer rows are summed pairwise, so they go to
+    numpy.
+    """
+    n = a.shape[-1]
+    if n >= 8:
+        return np.add.reduce(a, axis=-1)
+    out = a[..., 0] + 0.0  # a fresh array, and -0.0 + 0.0 is +0.0 as in numpy
+    for x in range(1, n):
+        out += a[..., x]
+    return out
+
+
 def _entropy(p: np.ndarray) -> float:
     """-sum p ln p of a table that is already a validated distribution."""
     return float(-_xlogx(p).sum())
@@ -42,6 +63,18 @@ class _Symbols(dict):
     def __missing__(self, token: str) -> int:
         value = self[token] = int(token)
         return value
+
+
+def _line_past_cap(text: str, symbols: list) -> int:
+    """Number of the text line whose symbols first size the table past
+    MAX_TEXT_CELLS; ``symbols`` holds the parsed rows of its data lines."""
+    data_lines = (ln_no for ln_no, parts in enumerate(map(str.split, text.splitlines()), start=1)
+                  if parts and parts[0][0] != "#")
+    shape = [1] * len(symbols[0])
+    for ln_no, row in zip(data_lines, symbols):
+        shape = [max(size, v + 1) for size, v in zip(shape, row)]
+        if math.prod(shape) > MAX_TEXT_CELLS:
+            return ln_no
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -107,7 +140,7 @@ class DiscreteJoint:
 
     @cached_property
     def _z_marginal(self) -> np.ndarray:
-        return _read_only(self.probs.sum(axis=self.m))
+        return _read_only(_sum_last(self.probs))
 
     @cached_property
     def _pair_marginals(self) -> tuple:
@@ -125,7 +158,7 @@ class DiscreteJoint:
         for j, a in enumerate(latents):
             # the code z_j |X| + x of every cell, in C order
             block = np.arange(a * nx).reshape(a, 1, nx).repeat(math.prod(latents[j + 1:]), axis=1)
-            codes = np.tile(block.ravel(), math.prod(latents[:j]))
+            codes = block.reshape(1, -1).repeat(math.prod(latents[:j]), axis=0).ravel()
             pairs.append(_read_only(np.bincount(codes, flat, a * nx).reshape(a, nx)))
         return tuple(pairs)
 
@@ -203,21 +236,22 @@ class DiscreteJoint:
         (largest symbol + 1) per column.  A parse error names the first bad line.
         """
         symbol = _Symbols().__getitem__
+        isfinite = math.isfinite
         symbols, probs = [], []
-        for ln_no, raw in enumerate(text.splitlines(), start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
+        for ln_no, parts in enumerate(map(str.split, text.splitlines()), start=1):
+            if not parts or parts[0][0] == "#":
                 continue
             if len(parts) < 3:
                 raise ValueError(f"line {ln_no}: need at least z, x and a probability")
+            prob = parts.pop()
             try:
-                row = list(map(symbol, parts[:-1]))
-                prob = float(parts[-1])
+                row = list(map(symbol, parts))
+                prob = float(prob)
             except ValueError as exc:
                 raise ValueError(f"line {ln_no}: {exc}") from None
             if min(row) < 0:
                 raise ValueError(f"line {ln_no}: negative symbol")
-            if not math.isfinite(prob):
+            if not isfinite(prob):
                 raise ValueError(f"line {ln_no}: probability contains non-finite entries")
             symbols.append(row)
             probs.append(prob)
@@ -227,17 +261,36 @@ class DiscreteJoint:
         if any(len(row) != width for row in symbols):
             raise ValueError("inconsistent number of variables across lines")
         columns = list(zip(*symbols))
-        table = np.zeros([max(column) + 1 for column in columns])
+        shape = [max(column) + 1 for column in columns]
+        if math.prod(shape) > MAX_TEXT_CELLS:
+            raise ValueError(f"line {_line_past_cap(text, symbols)}: the table would have "
+                             f"more than {MAX_TEXT_CELLS} cells")
+        table = np.zeros(shape)
         np.add.at(table, tuple(np.array(columns, dtype=np.intp)), probs)
         return cls(table)
 
     def to_text(self) -> str:
         """The text format: one line per positive configuration, in C order."""
-        where = np.nonzero(self.probs > 0.0)
+        cells = np.flatnonzero(self.probs > 0.0)
         names = [f"{s} " for s in range(max(self.arities))]
-        columns = [list(map(names.__getitem__, i.tolist())) for i in where]
-        values = map(repr, self.probs[where].tolist())
-        return "\n".join(map("".join, zip(*columns, values))) + "\n"
+        # The symbols of a run of trailing axes are joined once per
+        # configuration of the run.  A run takes another axis only while it
+        # keeps no more configurations than there are lines, so joining
+        # costs at most a pass over the lines per run.
+        runs, prefixes, span = [], [""], 1
+        for a in reversed(self.arities):
+            if span > 1 and span * a > cells.size:
+                runs.append((prefixes, span))
+                prefixes, span = [""], 1
+            prefixes = [name + p for name in names[:a] for p in prefixes]
+            span *= a
+        runs.append((prefixes, span))
+        columns, stride = [], 1
+        for prefixes, span in runs:
+            columns.append(list(map(prefixes.__getitem__, (cells // stride % span).tolist())))
+            stride *= span
+        values = map(repr, self.probs.ravel()[cells].tolist())
+        return "\n".join(map("".join, zip(*reversed(columns), values))) + "\n"
 
 def mutual_information(joint: DiscreteJoint, group) -> float:
     """I(Z_group; X) by exact summation; ``group`` holds latent indices."""
@@ -285,7 +338,7 @@ def _ci_posterior(joint: DiscreteJoint) -> tuple:
     ci = p_x
     for p_jx in joint._pair_marginals:
         ci = ci[..., None, :] * (p_jx / safe_px)
-    p_ci_z = ci.sum(axis=-1)
+    p_ci_z = _sum_last(ci)
     bad = (joint._z_marginal > 0.0) & (p_ci_z <= 0.0)
     if np.any(bad):
         where = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -329,7 +382,7 @@ def discrete_ci_synergy(joint: DiscreteJoint) -> float:
         )
     # Off the support the ratio stays 1 and post is 0, so each term is 0.
     ratio = np.divide(post, q, out=np.ones_like(post), where=support)
-    kl_per_z = (post * np.log(ratio, out=ratio)).sum(axis=-1)
+    kl_per_z = _sum_last(post * np.log(ratio, out=ratio))
     return max(0.0, float((p_z * kl_per_z).sum()))
 
 

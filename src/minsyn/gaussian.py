@@ -97,15 +97,22 @@ def _check_stack(rho: np.ndarray, sigma: np.ndarray, singular_is_error: bool) ->
     check it fails.  With singular_is_error a latent matrix too singular to
     invert fails last, with ConditioningError.
     """
-    m = rho.shape[1]
+    k, m = rho.shape
     finite = np.isfinite(sigma).all(axis=(1, 2))
     if not finite.all():
         # LAPACK must not see non-finite entries; those systems fail first.
         sigma = np.where(finite[:, None, None], sigma, np.eye(m))
     asymmetric = np.abs(sigma - sigma.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12
-    off_diagonal = np.abs(np.diagonal(sigma, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-12
-    eig_min = np.linalg.eigvalsh(sigma).min(axis=1)
-    joint_min = np.linalg.eigvalsh(_joint_stack(rho, sigma)).min(axis=1)
+    off_diagonal = np.abs(sigma.reshape(k, -1)[:, :: m + 1] - 1.0).max(axis=1) > 1e-12
+    # One LAPACK call takes both spectra: the joints' (index 0) and sigma_z's
+    # as diag(sigma_z, 1) (index 1).  A unit-diagonal sigma_z has trace m, so
+    # its smallest eigenvalue is at most 1 and is also the padded matrix's;
+    # a sigma_z without a unit diagonal fails before its eigenvalue counts.
+    stacked = np.zeros((2, k, m + 1, m + 1))
+    stacked[:, :, :m, :m] = sigma
+    stacked[0, :, :m, m] = stacked[0, :, m, :m] = rho
+    stacked[:, :, m, m] = 1.0
+    joint_min, eig_min = np.linalg.eigvalsh(stacked).min(axis=2)
     checks = [~finite, asymmetric, off_diagonal, eig_min < -PSD_TOL, joint_min < -PSD_TOL]
     if singular_is_error:
         checks.append(eig_min < _SINGULAR_EIG)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 640, 420
@@ -32,7 +34,9 @@ def line_plot_svg(x, series: dict, title: str = "", xlabel: str = "",
     Non-finite points break the polyline instead of distorting the scale.
     """
     xs = [float(v) for v in x]
-    finite_y = [float(v) for ys in series.values() for v in ys if math.isfinite(v)]
+    columns = [np.array(ys, dtype=float) for ys in series.values()]
+    every_y = np.concatenate([np.empty(0), *columns])
+    finite_y = every_y[np.isfinite(every_y)].tolist()
     if not xs or not finite_y:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
@@ -71,19 +75,16 @@ def line_plot_svg(x, series: dict, title: str = "", xlabel: str = "",
     if ylabel:
         out.append(f'<text x="14" y="{(_H-_MB+_MT)/2:.0f}" text-anchor="middle" '
                    f'transform="rotate(-90 14 {(_H-_MB+_MT)/2:.0f})">{ylabel}</text>')
-    # series
-    for (name, ys), color in zip(series.items(), _PALETTE):
-        pts, runs = [], []
-        for xv, yv in zip(xs, ys):
-            if math.isfinite(yv):
-                pts.append(f"{sx(xv):.2f},{sy(float(yv)):.2f}")
-            elif pts:
-                runs.append(pts)
-                pts = []
-        if pts:
-            runs.append(pts)
-        for run in runs:
-            out.append(f'<polyline points="{" ".join(run)}" fill="none" '
+    # series, scaled as arrays by the same operations as the ticks
+    x_px = sx(np.array(xs)).tolist()
+    for y, color in zip(columns, _PALETTE):
+        y = y[: len(xs)]
+        y_px = sy(y).tolist()
+        # [start, stop) of each run of finite points
+        finite = np.concatenate(([False], np.isfinite(y), [False]))
+        for start, stop in np.flatnonzero(finite[1:] != finite[:-1]).reshape(-1, 2).tolist():
+            points = " ".join(map("{:.2f},{:.2f}".format, x_px[start:stop], y_px[start:stop]))
+            out.append(f'<polyline points="{points}" fill="none" '
                        f'stroke="{color}" stroke-width="1.6"/>')
     # legend
     ly = _MT + 12

@@ -239,18 +239,6 @@ def load_handwritten_glyphs(directory, letters):
     return glyphs, indices
 
 
-def shift_image(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate with zero fill (no wrap-around)."""
-    out = np.zeros_like(img)
-    h, w = img.shape
-    ys = slice(max(dy, 0), h + min(dy, 0))
-    xs = slice(max(dx, 0), w + min(dx, 0))
-    ys_src = slice(max(-dy, 0), h + min(-dy, 0))
-    xs_src = slice(max(-dx, 0), w + min(-dx, 0))
-    out[ys, xs] = img[ys_src, xs_src]
-    return out
-
-
 def synthetic_digits(count: int, seed: int = 0):
     """Digit rasters for experiments that would otherwise need a download.
 
@@ -260,12 +248,16 @@ def synthetic_digits(count: int, seed: int = 0):
     (images (count, 784), labels (count,)).
     """
     rng = np.random.default_rng(seed)
-    base = [builtin_glyph(str(d)) for d in range(10)]
-    images = np.empty((count, GLYPH_SIDE * GLYPH_SIDE))
-    labels = np.empty(count, dtype=int)
-    for i in range(count):
-        d = int(rng.integers(10))
-        dy, dx = (int(v) for v in rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2))
-        images[i] = shift_image(base[d], dy, dx).ravel()
-        labels[i] = d
-    return images, labels
+    # (digit, dy, dx) of each image in turn, from one call on the stream
+    draws = rng.integers(np.tile([0, -MAX_SHIFT, -MAX_SHIFT], count),
+                         np.tile([10, MAX_SHIFT + 1, MAX_SHIFT + 1], count)).reshape(count, 3)
+    # Shifting a glyph by (dy, dx) with zero fill cuts the window at
+    # (MAX_SHIFT - dy, MAX_SHIFT - dx) out of the glyph padded with MAX_SHIFT zeros.
+    padded = np.zeros((10, GLYPH_SIDE + 2 * MAX_SHIFT, GLYPH_SIDE + 2 * MAX_SHIFT))
+    padded[:, MAX_SHIFT:-MAX_SHIFT, MAX_SHIFT:-MAX_SHIFT] = [builtin_glyph(str(d))
+                                                             for d in range(10)]
+    window = np.arange(GLYPH_SIDE)
+    rows = (MAX_SHIFT - draws[:, 1, None]) + window
+    cols = (MAX_SHIFT - draws[:, 2, None]) + window
+    images = padded[draws[:, 0, None, None], rows[:, :, None], cols[:, None, :]]
+    return images.reshape(count, GLYPH_SIDE * GLYPH_SIDE), draws[:, 0].copy()

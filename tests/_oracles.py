@@ -5,15 +5,21 @@ quadrature and Monte-Carlo for the Gaussian quantities, literal loops over
 configurations for the discrete ones, finite differences for gradients.
 Two exceptions run the library's own steps: the loss those differences are
 taken of, which runs the encoder with the decoder readout pinned, and
-``train_full_width``, the training loop over every pixel.
+``train_full_width``, the training loop over every pixel.  The one-item
+loops that bulk code paths are checked against (validation, synthetic
+digits, SVG points, text lines) read the library's glyphs, plot constants
+and error class, but none of its computation.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy import integrate
 
 from minsyn import nn
+from minsyn.gaussian import ConditioningError
+from minsyn.words import GLYPH_SIDE, MAX_SHIFT, builtin_glyph
 
 
 def mi_quadrature_bivariate(rho: float) -> float:
@@ -407,6 +413,42 @@ def closed_form_measures(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     return mi, wms, gk, ci
 
 
+def check_stack_two_solves(rho: np.ndarray, sigma: np.ndarray, singular_is_error: bool) -> tuple:
+    """The checks of ``gaussian._check_stack`` with one eigvalsh on the
+    (k, m, m) sigma_z stack and another on the (k, m+1, m+1) joints, the
+    systems taken one at a time in a loop.
+
+    Returns (error type, start of its message) of the first failing system's
+    first failing check, or (None, smallest eigenvalue of each sigma_z).
+    """
+    k, m = rho.shape
+    finite = np.isfinite(sigma).all(axis=(1, 2))
+    sigma = np.where(finite[:, None, None], sigma, np.eye(m))
+    joint = np.empty((k, m + 1, m + 1))
+    joint[:, :m, :m] = sigma
+    joint[:, :m, m] = joint[:, m, :m] = rho
+    joint[:, m, m] = 1.0
+    eig_min = np.linalg.eigvalsh(sigma).min(axis=1)
+    joint_min = np.linalg.eigvalsh(joint).min(axis=1)
+    checks = [
+        (~finite, ValueError, "sigma_z contains non-finite entries"),
+        (np.abs(sigma - sigma.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12,
+         ValueError, "sigma_z must be symmetric"),
+        (np.abs(np.diagonal(sigma, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-12,
+         ValueError, "sigma_z must have a unit diagonal"),
+        (eig_min < -1e-10, ValueError, "sigma_z is not positive semidefinite"),
+        (joint_min < -1e-10, ValueError, "joint covariance [[sigma_z, rho], [rho^T, 1]] "
+         "is not positive semidefinite"),
+    ]
+    if singular_is_error:
+        checks.append((eig_min < 1e-12, ConditioningError, "sigma_z is singular"))
+    for i in range(k):
+        for failed, error, message in checks:
+            if failed[i]:
+                return error, message
+    return None, eig_min
+
+
 def arrowhead_sigma(rho: np.ndarray, k: int) -> np.ndarray:
     """The GK-minimizing covariance: v = rho / rho_k in row and column k, and
     zeros elsewhere off the diagonal unless v without v_k has squared norm
@@ -478,3 +520,76 @@ def train_full_width(config, data) -> tuple:
                 batch_losses.append(loss_value)
             history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
     return model, history
+
+
+def shift_image(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Translate with zero fill (no wrap-around)."""
+    out = np.zeros_like(img)
+    h, w = img.shape
+    ys = slice(max(dy, 0), h + min(dy, 0))
+    xs = slice(max(dx, 0), w + min(dx, 0))
+    ys_src = slice(max(-dy, 0), h + min(-dy, 0))
+    xs_src = slice(max(-dx, 0), w + min(-dx, 0))
+    out[ys, xs] = img[ys_src, xs_src]
+    return out
+
+
+def synthetic_digits_per_image(count: int, seed: int) -> tuple:
+    """``words.synthetic_digits`` one image at a time: draw the digit, then
+    its (dy, dx) shift, then shift the glyph with zero fill."""
+    rng = np.random.default_rng(seed)
+    base = [builtin_glyph(str(d)) for d in range(10)]
+    images = np.empty((count, GLYPH_SIDE * GLYPH_SIDE))
+    labels = np.empty(count, dtype=int)
+    for i in range(count):
+        d = int(rng.integers(10))
+        dy, dx = (int(v) for v in rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2))
+        images[i] = shift_image(base[d], dy, dx).ravel()
+        labels[i] = d
+    return images, labels
+
+
+def svg_polylines_per_point(x, series: dict) -> list:
+    """The ``<polyline>`` elements ``svg.line_plot_svg`` draws, scaling and
+    formatting one point at a time, with ``svg``'s plot box and palette."""
+    from minsyn.svg import _H, _MB, _ML, _MR, _MT, _PALETTE, _W
+
+    xs = [float(v) for v in x]
+    finite_y = [float(v) for ys in series.values() for v in ys if math.isfinite(v)]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(finite_y), max(finite_y)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    span_x = (x_hi - x_lo) or 1.0
+
+    def sx(v):
+        return _ML + (v - x_lo) / span_x * (_W - _ML - _MR)
+
+    def sy(v):
+        return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+
+    out = []
+    for ys, color in zip(series.values(), _PALETTE):
+        pts, runs = [], []
+        for xv, yv in zip(xs, ys):
+            if math.isfinite(yv):
+                pts.append(f"{sx(xv):.2f},{sy(float(yv)):.2f}")
+            elif pts:
+                runs.append(pts)
+                pts = []
+        if pts:
+            runs.append(pts)
+        out += [f'<polyline points="{" ".join(run)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.6"/>' for run in runs]
+    return out
+
+
+def to_text_per_axis(probs: np.ndarray) -> str:
+    """``DiscreteJoint.to_text`` one axis at a time: the symbols of every
+    positive cell's indices, then the repr of its probability."""
+    where = np.nonzero(probs > 0.0)
+    columns = [[f"{s} " for s in i.tolist()] for i in where]
+    values = map(repr, probs[where].tolist())
+    return "".join("".join(parts) + "\n" for parts in zip(*columns, values))

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minsyn import discrete
 from minsyn.discrete import (
+    MAX_TEXT_CELLS,
     DiscreteJoint,
+    _sum_last,
     _table_mi,
     ci_decoder_distribution,
     discrete_ci_synergy,
@@ -17,7 +20,7 @@ from minsyn.discrete import (
     total_correlation,
 )
 
-from _oracles import literal_ci_synergy, total_correlation_per_axis
+from _oracles import literal_ci_synergy, to_text_per_axis, total_correlation_per_axis
 
 LN2 = np.log(2.0)
 
@@ -259,6 +262,14 @@ class TestTextFormat:
         assert again.probs.tobytes() == joint.probs.tobytes()
         assert again.to_text() == text
 
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.3, 0.9, 0.99])
+    def test_to_text_equals_the_per_axis_lines(self, zero_fraction):
+        rng = np.random.default_rng(int(100 * zero_fraction))
+        shapes = MIXED_ARITIES + [(2,) * 9, (3,) * 7, (11, 2), (3, 12, 1), (1, 1), (5, 1, 5, 2)]
+        for arities in shapes:
+            joint = mixed_joint(rng, arities, zero_fraction)
+            assert joint.to_text() == to_text_per_axis(joint.probs)
+
     def test_to_text_literal(self):
         p = np.zeros((2, 3, 2))
         p[0, 0, 0], p[0, 1, 0], p[0, 1, 1] = 0.1, 0.2, 0.05
@@ -313,6 +324,35 @@ class TestTextFormat:
     def test_first_bad_line_wins(self, text, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             DiscreteJoint.from_text(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("100000 100000 1.0\n", 1),
+        ("99999999999999999999 0 1.0", 1),
+        # line 3 takes 4097 x 4096 cells past the cap; comments still count as lines
+        ("# c\n0 0 0.5\n4096 4095 0.25\n\n1 1 0.25\n", 3),
+        ("0 0 0.5\n4095 0 0.25\n0 4096 0.25\n", 3),
+    ])
+    def test_table_size_is_capped_before_allocating(self, text, line):
+        assert 4096 * 4096 == MAX_TEXT_CELLS
+        with pytest.raises(ValueError, match=(f"^line {line}: the table would have more than "
+                                              f"{MAX_TEXT_CELLS} cells$")) as err:
+            DiscreteJoint.from_text(text)
+        assert type(err.value) is ValueError
+
+    def test_a_table_of_exactly_the_cap_is_read(self, monkeypatch):
+        monkeypatch.setattr(discrete, "MAX_TEXT_CELLS", 12)
+        assert DiscreteJoint.from_text("0 0 0.5\n3 2 0.5\n").arities == (4, 3)
+        with pytest.raises(ValueError, match="^line 2: the table would have more than 12 cells$"):
+            DiscreteJoint.from_text("0 0 0.5\n3 3 0.5\n")
+        # line 2 reaches the cap and line 3 passes it
+        with pytest.raises(ValueError, match="^line 3: the table would have more than 12 cells$"):
+            DiscreteJoint.from_text("0 0 0.5\n3 2 0.25\n3 3 0.25\n")
+
+    def test_parse_errors_precede_the_size_cap(self):
+        with pytest.raises(ValueError, match="^line 2: negative symbol$"):
+            DiscreteJoint.from_text("100000 100000 1.0\n0 -1 0.5\n")
+        with pytest.raises(ValueError, match="^inconsistent number of variables"):
+            DiscreteJoint.from_text("100000 100000 1.0\n0 0 0 0.5\n")
 
 
 class TestNonFinite:
@@ -449,3 +489,39 @@ class TestStackedPairPaths:
         joint = DiscreteJoint(table)
         assert total_correlation(joint) == pytest.approx(
             total_correlation_per_axis(joint.probs), rel=0.0, abs=1e-14)
+
+
+class TestShortAxisSums:
+    """_sum_last adds a short target axis column by column with the bits of
+    numpy's reduce, and the measures keep their bits with it."""
+
+    @pytest.mark.parametrize("nx", range(1, 10))
+    def test_same_bits_as_numpy_reduce(self, nx):
+        rng = np.random.default_rng(nx)
+        for shape in [(), (1,), (7,), (3, 4), (2,) * 6]:
+            a = rng.standard_normal(shape + (nx,)) * np.exp(rng.uniform(-30, 30, shape + (nx,)))
+            a[rng.random(a.shape) < 0.2] = 0.0
+            a[rng.random(a.shape) < 0.1] = -0.0
+            a[..., :1][rng.random(shape + (1,)) < 0.3] = -0.0
+            for table in (a, -np.zeros_like(a), a[..., ::-1]):
+                expected = np.add.reduce(table, axis=-1)
+                got = _sum_last(table)
+                assert np.shape(got) == np.shape(expected)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_rows_of_negative_zero_sum_to_positive_zero(self):
+        for nx in range(1, 10):
+            assert not np.signbit(_sum_last(-np.zeros((3, nx)))).any()
+
+    def test_leaves_its_input_alone(self):
+        a = np.arange(12.0).reshape(4, 3)
+        _sum_last(a)
+        assert (a == np.arange(12.0).reshape(4, 3)).all()
+
+    @pytest.mark.parametrize("table", stacked_path_tables(), ids=lambda t: str(t.shape))
+    def test_measures_keep_the_bits_of_numpy_reduce(self, table, monkeypatch):
+        fast = [repr(f(DiscreteJoint(table))) for f in MEASURES]
+        fast_marginal = DiscreteJoint(table)._z_marginal.tobytes()
+        monkeypatch.setattr(discrete, "_sum_last", lambda a: np.add.reduce(a, axis=-1))
+        assert [repr(f(DiscreteJoint(table))) for f in MEASURES] == fast
+        assert DiscreteJoint(table)._z_marginal.tobytes() == fast_marginal

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from minsyn.gaussian import (
     ConditioningError,
+    _check_stack,
     DegeneracyError,
     RHO_CLAMP,
     GaussianSystem,
@@ -22,6 +24,7 @@ from minsyn.gaussian import (
 
 from _oracles import (
     arrowhead_sigma,
+    check_stack_two_solves,
     ci_posterior_direct,
     ci_posterior_numeric,
     closed_form_measures,
@@ -115,10 +118,10 @@ class TestGaussianSystem:
             monkeypatch.setattr(np.linalg, name, counted)
         sys_ = GaussianSystem(np.array([0.3, -0.6, 0.45]),
                               np.array([[1.0, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 1.0]]))
-        assert calls == {"solve": 0, "eigvalsh": 2}  # sigma_z and the joint
+        assert calls == {"solve": 0, "eigvalsh": 1}  # sigma_z and the joint together
         for f in MEASURES:
             f(sys_)
-        assert calls == {"solve": 1, "eigvalsh": 2}
+        assert calls == {"solve": 1, "eigvalsh": 1}
 
     def test_cached_solution_is_read_only(self):
         sys_ = GaussianSystem.pair(0.5, 0.75, -0.10)
@@ -140,6 +143,98 @@ class TestGaussianSystem:
             k = int(np.argmax(np.abs(rho)))
             assert at_min.sigma_z.tobytes() == arrowhead_sigma(rho, k).tobytes()
             assert repr(gk_synergy(at_min)) == repr(closed_form_measures(rho, at_min.sigma_z)[2])
+
+
+def _failing_systems() -> dict:
+    """One three-latent system failing each check of _check_stack, in the
+    order the checks run, and a valid one."""
+    rho, nan = [0.3, 0.3, 0.1], np.nan
+    systems = {
+        "non-finite": (rho, [[1.0, nan, 0.0], [nan, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "asymmetric": (rho, [[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "non-unit diagonal": (rho, [[1.1, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "not PSD": (rho, [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]),
+        "not realizable": ([0.8, 0.8, 0.0], np.eye(3)),
+        "singular": (rho, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "valid": (rho, [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    }
+    return {k: (np.array(r), np.array(s)) for k, (r, s) in systems.items()}
+
+
+def _expect(error, message):
+    return pytest.raises(error, match="^" + re.escape(message))
+
+
+class TestOneSolveValidation:
+    """_check_stack takes sigma_z's spectrum and the joint's from one
+    eigvalsh call; it raises what the two-call check raised, system by
+    system and check by check."""
+
+    def assert_like_oracle(self, rho, sigma, singular_is_error):
+        error, value = check_stack_two_solves(rho, sigma, singular_is_error)
+        if error is None:
+            eig_min = _check_stack(rho, sigma, singular_is_error)
+            np.testing.assert_allclose(eig_min, value, rtol=0.0, atol=1e-13)
+            return
+        with _expect(error, value) as raised:
+            _check_stack(rho, sigma, singular_is_error)
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("case", _failing_systems())
+    def test_each_check_through_a_system(self, case):
+        rho, sigma = _failing_systems()[case]
+        error, message = check_stack_two_solves(rho[None], sigma[None], False)
+        if error is not None:
+            with _expect(error, message) as raised:
+                GaussianSystem(rho, sigma)
+            assert type(raised.value) is error
+            return
+        sys_ = GaussianSystem(rho, sigma)
+        error, message = check_stack_two_solves(rho[None], sigma[None], True)
+        if error is None:
+            assert case == "valid"
+            for f in MEASURES:
+                f(sys_)
+            return
+        assert case == "singular"
+        for f in MEASURES:
+            with _expect(ConditioningError, message + " (smallest eigenvalue "):
+                f(sys_)
+
+    def test_every_order_of_failing_systems(self):
+        systems = list(_failing_systems().values())
+        for order in itertools.permutations(range(len(systems)), 3):
+            rho = np.array([systems[i][0] for i in order])
+            sigma = np.array([systems[i][1] for i in order])
+            for singular_is_error in (False, True):
+                self.assert_like_oracle(rho, sigma, singular_is_error)
+
+    @pytest.mark.parametrize("rho1, rho2, sigma12", [
+        (0.5, 0.75, [np.nan, 1.5, -0.5, 1.0]),   # non-finite first
+        (0.5, 0.75, [1.5, np.nan]),              # not PSD before a later non-finite one
+        (0.5, 0.75, [0.1, -0.5, 1.5]),           # not realizable first
+        (0.5, 0.75, [0.5, 1.0, np.nan]),         # singular, but the joint check runs first
+        (0.3, 0.3, [0.5, 1.0, 1.5]),             # singular first
+        (0.3, 0.3, [-1.0, 0.2]),                 # singular and not realizable
+        (0.5, 0.75, [0.1, 0.6, 0.9]),            # all valid
+    ])
+    def test_stacked_pair_curve(self, rho1, rho2, sigma12):
+        rho = np.broadcast_to([rho1, rho2], (len(sigma12), 2))
+        sigma = np.array([[[1.0, s], [s, 1.0]] for s in sigma12])
+        self.assert_like_oracle(rho, sigma, True)
+        error, message = check_stack_two_solves(rho, sigma, True)
+        if error is None:
+            pair_curve(rho1, rho2, np.array(sigma12))
+        else:
+            with _expect(error, message) as raised:
+                pair_curve(rho1, rho2, np.array(sigma12))
+            assert type(raised.value) is error
+
+    def test_smallest_latent_eigenvalue_within_rounding(self):
+        rng = np.random.default_rng(17)
+        for size in range(2, 9):
+            c = np.array([random_correlation(rng, size) for _ in range(20)])
+            self.assert_like_oracle(c[:, -1, :-1].copy(), c[:, :-1, :-1].copy(), True)
 
 
 class TestRhoChecks:

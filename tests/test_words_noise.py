@@ -10,9 +10,10 @@ from minsyn.words import (
     builtin_glyph,
     builtin_glyphs,
     derive_letters_by_position,
-    shift_image,
     synthetic_digits,
 )
+
+from _oracles import shift_image, synthetic_digits_per_image
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,16 @@ class TestShiftAndDigits:
         assert np.array_equal(la, lb)
         c, _ = synthetic_digits(20, seed=6)
         assert not np.array_equal(a, c)
+
+    def test_synthetic_digits_equal_the_per_image_loop(self):
+        for seed in range(40):
+            for count in (0, 1, 2, 3, 17, 120):
+                images, labels = synthetic_digits(count, seed=seed)
+                want_images, want_labels = synthetic_digits_per_image(count, seed)
+                assert images.dtype == want_images.dtype and images.shape == want_images.shape
+                assert images.tobytes() == want_images.tobytes()
+                assert labels.dtype == want_labels.dtype
+                assert labels.tobytes() == want_labels.tobytes()
 
     def test_synthetic_digits_shapes(self):
         imgs, labels = synthetic_digits(12, seed=0)
