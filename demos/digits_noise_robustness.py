@@ -18,9 +18,9 @@ Run:  python3 demos/digits_noise_robustness.py   (a few minutes)
 from pathlib import Path
 
 from minsyn.config import load_config
-from minsyn.metrics import reconstruction_loss
+from minsyn.metrics import noise_losses
 from minsyn.nn import train_autoencoder
-from minsyn.noise import NOISE_KINDS, apply_noise
+from minsyn.noise import NOISE_KINDS
 from minsyn.words import synthetic_digits
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -43,11 +43,9 @@ def main():
     minsyn, plain = [train(cfg, train_imgs) for cfg in cfgs]
 
     print(f"\n{'corruption':<14} {'fixed-decoder':>14} {'standard AE':>12}")
-    for kind in NOISE_KINDS:
-        corrupted = apply_noise(test_imgs, kind, seed=5)
-        row = []
-        for model in (minsyn, plain):
-            row.append(reconstruction_loss(model, corrupted, "bce", target=test_imgs))
+    columns = [noise_losses(model, test_imgs, NOISE_KINDS, "bce", seed=5)
+               for model in (minsyn, plain)]
+    for kind, *row in zip(NOISE_KINDS, *columns):
         marker = "  <-- fixed decoder wins" if row[0] < row[1] and kind != "none" else ""
         print(f"{kind:<14} {row[0]:>14.1f} {row[1]:>12.1f}{marker}")
     print("\n(loss: cross entropy between the clean test digits and the "

@@ -28,7 +28,10 @@ The script prints, one fact per line:
 - the SHA-256 of the images and labels of a seeded set of synthetic digits
   and, for digits models, the eval loss (`EVAL_LOSS`) under every noise
   kind, corrupted with `EVAL_NOISE_SEED`, on those images written to and
-  read back from an IDX file as `minsyn eval` reads it.
+  read back from an IDX file as `minsyn eval` reads it, scored one kind
+  after another as the sequential reference;
+- for digits models, the SHA-256 of the CSV `minsyn eval` writes for the
+  same images, loss and seed, which scores its kinds on parallel threads.
 
 Floats are printed with repr, so two checkouts whose output is identical
 train the same bytes and score them to the same floats.  Run from the
@@ -133,6 +136,10 @@ def digest(name: str, config_path: Path, eval_images: Path):
             corrupted = apply_noise(images, kind, seed=EVAL_NOISE_SEED)
             value = reconstruction_loss(model, corrupted, EVAL_LOSS, target=images)
             yield f"{name} eval {EVAL_LOSS} {kind} {value!r}"
+        eval_csv = run_dir / "eval.csv"
+        run(["eval", "--checkpoint", run_dir / cli.CHECKPOINT_NAME, "--images", eval_images,
+             "--loss", EVAL_LOSS, "--seed", EVAL_NOISE_SEED, "--out", eval_csv])
+        yield f"{name} eval csv {sha(eval_csv.read_bytes())}"
 
 
 def random_correlation(rng, size: int) -> np.ndarray:

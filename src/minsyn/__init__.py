@@ -65,6 +65,7 @@ from .words import (
     synthetic_digits,
 )
 from .noise import NOISE_KINDS, apply_noise
-from .metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
+from .metrics import (acc_score, build_report, noise_losses, reconstruction_loss,
+                      reconstruction_losses)
 
 __version__ = "0.1.0"

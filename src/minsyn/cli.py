@@ -21,9 +21,9 @@ from .checkpoint import load_checkpoint, model_arrays, restore_model, save_check
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      resolve_data_path)
 from .idx import IdxParseError, images_tensor, labels_tensor, read_idx_file, write_idx_file
-from .metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
+from .metrics import acc_score, build_report, noise_losses, reconstruction_losses
 from .nn import LOSS_KINDS, PcaModel, TrainingDivergedError, pca_fit, train_autoencoder
-from .noise import NOISE_KINDS, apply_noise
+from .noise import NOISE_KINDS
 from .svg import line_plot_svg
 from .words import (GLYPH_SIDE, WordDataset, build_word_dataset, builtin_glyphs,
                     bundled_letter_grid, bundled_word_list, char_layout,
@@ -182,13 +182,9 @@ def cmd_eval(args) -> int:
     model = restore_model(ckpt)
     images = read_image_rows(args.images)
     kinds = args.noise or list(NOISE_KINDS)
-    rows = ["noise,loss"]
-    printable = []
-    for kind in kinds:
-        corrupted = apply_noise(images, kind, seed=args.seed)
-        value = reconstruction_loss(model, corrupted, args.loss, target=images)
-        rows.append(f"{kind},{value:.6g}")
-        printable.append(f"  {kind:<12} {value:.6g}")
+    values = noise_losses(model, images, kinds, args.loss, args.seed)
+    rows = ["noise,loss"] + [f"{kind},{value:.6g}" for kind, value in zip(kinds, values)]
+    printable = [f"  {kind:<12} {value:.6g}" for kind, value in zip(kinds, values)]
     csv = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoder import row_blocks
-from .nn import sample_losses
+from .nn import _one_blas_thread, sample_losses
+from .noise import corrupt_rows, noise_pattern
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +80,16 @@ def _score_blocks(model, x: np.ndarray) -> list:
                       _min_block_rows(model))
 
 
+def _mean_loss(model, target: np.ndarray, kind: str, inputs) -> float:
+    """Mean over the images of the feature-summed loss of reconstructing
+    ``inputs(rows)`` against ``target[rows]``, one scoring block of rows at
+    a time."""
+    per_sample = np.empty(target.shape[0])
+    for rows in _score_blocks(model, target):
+        per_sample[rows] = sample_losses(target[rows], model.reconstruct(inputs(rows)), kind)
+    return float(per_sample.mean())
+
+
 def reconstruction_loss(model, x, kind: str, target=None) -> float:
     """Mean over the images of the feature-summed loss of reconstructing
     ``x`` (N, n) against ``target`` (default ``x`` itself).
@@ -91,10 +105,65 @@ def reconstruction_loss(model, x, kind: str, target=None) -> float:
     if x.ndim != 2 or target.shape != x.shape:
         raise ValueError(f"need (N, n) images and a target of the same shape, "
                          f"got {x.shape} and {target.shape}")
-    per_sample = np.empty(x.shape[0])
-    for rows in _score_blocks(model, x):
-        per_sample[rows] = sample_losses(target[rows], model.reconstruct(x[rows]), kind)
-    return float(per_sample.mean())
+    return _mean_loss(model, target, kind, x.__getitem__)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _corrupted_block(images, kind, pattern, buffer, rows) -> np.ndarray:
+    """The images in ``rows`` corrupted as ``kind``, in the head of ``buffer``."""
+    block = buffer[:rows.stop - rows.start]
+    block[...] = images[rows]
+    corrupt_rows(block, kind, None if pattern is None else pattern[rows])
+    return block
+
+
+def noise_losses(model, images, kinds, loss_kind: str, seed: int = 0) -> list:
+    """The loss of reconstructing the images (N, 28*w) under each noise
+    kind in ``kinds``, in order: bit for bit ``reconstruction_loss(model,
+    apply_noise(images, kind, seed), loss_kind, target=images)``.
+
+    Each kind's pattern is drawn for all the images at once, as
+    ``apply_noise`` draws it, and each scoring block is copied from the
+    clean images and corrupted in place, so no corrupted copy of the whole
+    set is held.  The distinct kinds are scored on as many threads as there
+    are kinds or usable CPUs, whichever is fewer, this one included, under
+    one OpenBLAS pin held here.  Each image's loss depends on its own row
+    alone, so the losses do not depend on the thread count.  The images and
+    kinds are checked before any thread starts.
+    """
+    images = np.ascontiguousarray(images, dtype=float)
+    tasks = [(kind, noise_pattern(kind, images.shape, seed)) for kind in dict.fromkeys(kinds)]
+    longest = max(rows.stop - rows.start for rows in _score_blocks(model, images))
+    losses = {}
+    errors = []
+
+    def score(share) -> None:
+        try:
+            buffer = np.empty((longest, images.shape[1]))
+            for kind, pattern in share:
+                inputs = functools.partial(_corrupted_block, images, kind, pattern, buffer)
+                losses[kind] = _mean_loss(model, images, loss_kind, inputs)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = max(1, min(len(tasks), _usable_cpus()))
+    workers = [threading.Thread(target=score, args=(tasks[t::threads],))
+               for t in range(1, threads)]
+    with _one_blas_thread():
+        for worker in workers:
+            worker.start()
+        score(tasks[::threads])
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return [losses[kind] for kind in kinds]
 
 
 def reconstruction_losses(model, train, test, loss_kind: str) -> tuple:

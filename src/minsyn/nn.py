@@ -13,6 +13,7 @@ import ctypes
 import functools
 import logging
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -654,24 +655,40 @@ def _openblas_thread_calls():
     return None
 
 
+# Open _one_blas_thread blocks, over all threads, and the thread count the
+# outermost one found; both guarded by _BLAS_PIN_LOCK.
+_BLAS_PIN_LOCK = threading.Lock()
+_blas_pin_depth = 0
+_blas_count_before = 0
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the count.
 
     Multithreaded OpenBLAS products can round differently from the
     one-thread ones, so a pinned run trains the same bytes at any
-    OPENBLAS_NUM_THREADS."""
+    OPENBLAS_NUM_THREADS.  The count is one setting of the whole process,
+    so blocks open on several threads at once share one pin: the first to
+    enter sets it and the last to leave restores it."""
+    global _blas_pin_depth, _blas_count_before
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, put = calls
-    before = get()
-    put(1)
+    with _BLAS_PIN_LOCK:
+        if _blas_pin_depth == 0:
+            _blas_count_before = get()
+            put(1)
+        _blas_pin_depth += 1
     try:
         yield
     finally:
-        put(before)
+        with _BLAS_PIN_LOCK:
+            _blas_pin_depth -= 1
+            if _blas_pin_depth == 0:
+                put(_blas_count_before)
 
 
 def train_autoencoder(config: TrainConfig, data) -> tuple:

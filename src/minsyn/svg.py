@@ -31,10 +31,15 @@ def line_plot_svg(x, series: dict, title: str = "", xlabel: str = "",
                   ylabel: str = "") -> str:
     """Render named y-series over shared x values as an SVG document.
 
-    Non-finite points break the polyline instead of distorting the scale.
+    Each series holds one y value per x value.  Non-finite points break the
+    polyline instead of distorting the scale.
     """
     xs = [float(v) for v in x]
     columns = [np.array(ys, dtype=float) for ys in series.values()]
+    ragged = [name for name, y in zip(series, columns) if y.shape != (len(xs),)]
+    if ragged:
+        raise ValueError(f"series {', '.join(map(str, ragged))} must hold one value "
+                         f"per x value ({len(xs)})")
     every_y = np.concatenate([np.empty(0), *columns])
     finite_y = every_y[np.isfinite(every_y)].tolist()
     if not xs or not finite_y:
@@ -78,7 +83,6 @@ def line_plot_svg(x, series: dict, title: str = "", xlabel: str = "",
     # series, scaled as arrays by the same operations as the ticks
     x_px = sx(np.array(xs)).tolist()
     for y, color in zip(columns, _PALETTE):
-        y = y[: len(xs)]
         y_px = sy(y).tolist()
         # [start, stop) of each run of finite points
         finite = np.concatenate(([False], np.isfinite(y), [False]))

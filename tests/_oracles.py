@@ -549,6 +549,33 @@ def synthetic_digits_per_image(count: int, seed: int) -> tuple:
     return images, labels
 
 
+def apply_noise_whole_masks(images, kind: str, seed: int = 0) -> np.ndarray:
+    """``noise.apply_noise`` through one boolean mask of the whole batch per
+    kind, each tile mask spread over its pixels with ``np.kron``."""
+    chunk = 4
+    imgs = np.array(images, dtype=float)
+    b, w = imgs.shape[0], imgs.shape[1] // GLYPH_SIDE
+    rast = imgs.reshape(b, GLYPH_SIDE, w)
+    rng = np.random.default_rng(seed)
+    if kind == "bottom_half":
+        rast[:, GLYPH_SIDE // 2:, :] = 0.0
+    elif kind == "right_half":
+        rast[:, :, w // 2:] = 0.0
+    elif kind == "erase_chunk":
+        ty, tx = GLYPH_SIDE // chunk, w // chunk
+        drop = rng.random((b, ty, tx)) < 0.5
+        full = np.zeros((b, GLYPH_SIDE, w), dtype=bool)
+        full[:, :ty * chunk, :tx * chunk] = np.kron(drop, np.ones((chunk, chunk), dtype=bool))
+        rast[full] = 0.0
+    elif kind == "v_stripe":
+        cols = rng.random((b, w)) < 0.5
+        rast[np.broadcast_to(cols[:, None, :], rast.shape)] = 0.5
+    elif kind == "h_stripe":
+        rows = rng.random((b, GLYPH_SIDE)) < 0.5
+        rast[np.broadcast_to(rows[:, :, None], rast.shape)] = 0.5
+    return rast.reshape(b, GLYPH_SIDE * w)
+
+
 def svg_polylines_per_point(x, series: dict) -> list:
     """The ``<polyline>`` elements ``svg.line_plot_svg`` draws, scaling and
     formatting one point at a time, with ``svg``'s plot box and palette."""

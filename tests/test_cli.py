@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import minsyn
-from minsyn import cli
+from minsyn import cli, metrics, nn
 from minsyn.checkpoint import load_checkpoint, model_arrays, save_checkpoint
 from minsyn.cli import main
 from minsyn.config import parse_config
 from minsyn.decoder import binary_batch_stats, update_moving_average
 from minsyn.gaussian import GaussianSystem, gk_synergy
-from minsyn.idx import write_idx_file, images_tensor
+from minsyn.idx import IdxTensor, write_idx_file, images_tensor
 from minsyn.nn import PcaModel, build_autoencoder, pca_fit, train_autoencoder
 from minsyn.svg import line_plot_svg
 from minsyn.words import builtin_glyph, synthetic_digits
@@ -486,6 +486,44 @@ class TestEval:
         images = self._digit_images(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "no.msck"),
                      "--images", str(images)]) == 3
+
+    def test_images_that_are_not_rasters_exit_3_before_any_thread(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(metrics.threading, "Thread", no_thread)
+        images = tmp_path / "narrow.idx"
+        write_idx_file(images, IdxTensor(dims=(3, 27, 27), data=np.zeros(3 * 27 * 27)))
+        assert main(["eval", "--checkpoint", str(self._identity_checkpoint(tmp_path, 729)),
+                     "--images", str(images)]) == 3
+        assert "images must be (B, 28*w) rasters" in capsys.readouterr().err
+
+    def test_blas_pinned_on_every_scoring_thread_then_restored(self, tmp_path, monkeypatch):
+        calls = nn._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy bundles no OpenBLAS thread control here")
+        get, put = calls
+        forward, seen = nn.forward, []
+
+        def recording_forward(*args, **kwargs):
+            seen.append(get())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+        ckpt = self._identity_checkpoint(tmp_path)
+        images = self._digit_images(tmp_path)
+        before = get()
+        try:
+            put(2)
+            assert main(["eval", "--checkpoint", str(ckpt), "--images", str(images),
+                         "--loss", "mse"]) == 0
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen == [1] * 6  # one block of each kind
 
 
 class TestMain:

@@ -1,12 +1,14 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from minsyn import metrics
-from minsyn.metrics import acc_score, build_report, reconstruction_loss, reconstruction_losses
+from minsyn.metrics import (acc_score, build_report, noise_losses, reconstruction_loss,
+                            reconstruction_losses)
 from minsyn.nn import PcaModel, TrainConfig, loss, pca_fit, train_autoencoder
-from minsyn.noise import apply_noise
+from minsyn.noise import NOISE_KINDS, apply_noise
 from minsyn.words import (build_word_dataset, builtin_glyphs, bundled_letter_grid,
                           bundled_word_list, synthetic_digits)
 
@@ -219,6 +221,106 @@ class TestReconstructionLoss:
             reconstruction_loss(digit_models["pca"], x * 50.0, "bce", target=x)
         with pytest.raises(ValueError, match="same shape"):
             reconstruction_loss(digit_models["pca"], x, "mse", target=x[:5])
+
+
+def sequential_noise_losses(model, images, kinds, loss_kind, seed):
+    """Each kind corrupted as a whole copy, then scored, one after another."""
+    return [reconstruction_loss(model, apply_noise(images, kind, seed), loss_kind,
+                                target=images) for kind in kinds]
+
+
+class CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs noise_losses sees; returns the threads it started."""
+    monkeypatch.setattr(CountedThread, "started", 0)
+    monkeypatch.setattr(metrics.threading, "Thread", CountedThread)
+
+    def set_cpus(count):
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
+        return CountedThread
+
+    return set_cpus
+
+
+class TestNoiseLosses:
+    """Threaded, block-corrupted scoring must give the sequential losses bit
+    for bit."""
+
+    @pytest.mark.parametrize("kind,loss_kind", TestReconstructionLoss.CASES)
+    @pytest.mark.parametrize("shape", ["below_one_block", "exact_multiple", "ragged_block"])
+    def test_equals_the_sequential_oracle(self, digit_models, cpus, kind, loss_kind, shape):
+        model = digit_models[kind]
+        step = _score_blocks(model, 10 ** 6)[0].stop
+        n_images = {"below_one_block": step // 2, "exact_multiple": 2 * step,
+                    "ragged_block": 2 * step + metrics._min_block_rows(model)}[shape]
+        x, _ = synthetic_digits(n_images, seed=4)
+        cpus(2)
+        assert noise_losses(model, x, NOISE_KINDS, loss_kind, seed=5) == \
+            sequential_noise_losses(model, x, NOISE_KINDS, loss_kind, 5)
+
+    @pytest.mark.parametrize("count,started", [(1, 0), (2, 1), (3, 2)])
+    def test_any_cpu_count_gives_the_same_losses(self, digit_models, cpus, count, started):
+        model = digit_models["minsyn_binary"]
+        x, _ = synthetic_digits(150, seed=9)
+        threads = cpus(count)
+        assert noise_losses(model, x, NOISE_KINDS, "bce", seed=2) == \
+            sequential_noise_losses(model, x, NOISE_KINDS, "bce", 2)
+        assert threads.started == started
+
+    def test_repeated_kinds_are_scored_once_and_reported_each_time(self, digit_models, cpus):
+        model = digit_models["learned_sigmoid"]
+        x, _ = synthetic_digits(90, seed=1)
+        kinds = ["v_stripe", "none", "v_stripe"]
+        threads = cpus(3)
+        assert noise_losses(model, x, kinds, "bce", seed=3) == \
+            sequential_noise_losses(model, x, kinds, "bce", 3)
+        assert threads.started == 1
+
+    def test_word_rasters(self, cpus):
+        grid = bundled_letter_grid()
+        letters = sorted({ch for g in grid for ch in g})
+        words = build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=0, lr=0.001,
+                          decoder_kind="learned_sigmoid", encoder_spec=((9, "softplus"),))
+        learned, _ = train_autoencoder(cfg, words.train_images)
+        cpus(2)
+        for model, loss_kind in ((learned, "bce"), (PcaModel(*pca_fit(words.train_images, 9)),
+                                                    "mse")):
+            assert len(metrics._score_blocks(model, words.test_images)) > 1
+            assert noise_losses(model, words.test_images, NOISE_KINDS, loss_kind, seed=6) == \
+                sequential_noise_losses(model, words.test_images, NOISE_KINDS, loss_kind, 6)
+
+    def test_bad_input_is_rejected_before_any_thread_starts(self, digit_models, cpus):
+        model = digit_models["pca"]
+        threads = cpus(3)
+        with pytest.raises(ValueError, match="rasters"):
+            noise_losses(model, np.ones((3, 100)), NOISE_KINDS, "mse")
+        with pytest.raises(ValueError, match="noise kind"):
+            noise_losses(model, np.ones((3, 784)), ["none", "sparkle"], "mse")
+        assert threads.started == 0
+
+    def test_an_error_on_a_worker_thread_reaches_the_caller(self, cpus):
+        class FailsOffTheMainThread:
+            product_sizes = (784,)
+
+            def reconstruct(self, x):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("worker failed")
+                return x
+
+        x, _ = synthetic_digits(20, seed=7)
+        threads = cpus(2)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            noise_losses(FailsOffTheMainThread(), x, ["none", "bottom_half"], "mse")
+        assert threads.started == 1
 
 
 class TestReport:

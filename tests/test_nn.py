@@ -1,4 +1,7 @@
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -557,6 +560,65 @@ class TestTraining:
             assert seen == [1] and get() == 2
         finally:
             put(before)
+
+    def test_blocks_open_on_two_threads_share_one_pin(self, monkeypatch):
+        count, sets = [2], []
+
+        def put(n):
+            sets.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(nn, "_openblas_thread_calls", lambda: (lambda: count[0], put))
+        both_inside, first_left = threading.Barrier(2, timeout=30), threading.Event()
+        seen = []
+
+        def second():
+            with nn._one_blas_thread():
+                both_inside.wait()
+                first_left.wait(30)
+                seen.append(count[0])
+
+        worker = threading.Thread(target=second)
+        worker.start()
+        with nn._one_blas_thread():
+            both_inside.wait()
+        seen.append(count[0])  # one thread left, the other is still inside
+        first_left.set()
+        worker.join(30)
+        assert not worker.is_alive()
+        assert seen == [1, 1] and count[0] == 2 and sets == [1, 2]
+
+    def test_pin_holds_under_many_threads_switching_often(self, monkeypatch):
+        count, sets, outside = [2], [], []
+
+        def put(n):
+            sets.append(n)
+            count[0] = n
+
+        start = threading.Barrier(3, timeout=30)
+
+        def enter_and_leave():
+            start.wait()
+            for _ in range(500):
+                with nn._one_blas_thread():
+                    time.sleep(0)  # let another thread enter or leave
+                    if count[0] != 1:
+                        outside.append(count[0])
+
+        monkeypatch.setattr(nn, "_openblas_thread_calls", lambda: (lambda: count[0], put))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(3)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert outside == [] and count[0] == 2
+        assert sets[::2] == [1] * (len(sets) // 2) and sets[1::2] == [2] * (len(sets) // 2)
 
     def test_missing_blas_thread_control_gives_none_and_one_warning(self, monkeypatch,
                                                                     tmp_path, caplog):

@@ -8,7 +8,7 @@ from _oracles import svg_polylines_per_point
 
 def random_curves(seed: int):
     """Shared x values and up to four series with NaN and +-inf points,
-    given as lists or arrays, some shorter than x."""
+    given as lists or arrays."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 60))
     x = np.sort(rng.uniform(-3.0, 3.0, n)) * 10.0 ** rng.integers(-3, 4)
@@ -21,7 +21,7 @@ def random_curves(seed: int):
         y[(u >= 0.15) & (u < 0.2)] = -np.inf
         y[0] = 1.0  # at least one finite point
         values = y.tolist() if k % 2 else y
-        series[f"s{k}"] = values[: max(1, n - 3)] if rng.random() < 0.2 else values
+        series[f"s{k}"] = values
     return (x.tolist() if seed % 3 == 0 else x), series
 
 
@@ -47,3 +47,9 @@ class TestLinePlot:
         for x, series in (([1.0], {"a": [2.0]}), ([0.0, 1.0], {"a": [3.0, 3.0]})):
             svg = line_plot_svg(x, series)
             assert polylines(svg) == svg_polylines_per_point(x, series)
+
+    @pytest.mark.parametrize("ys", [[0.0, 1.0, 100.0], [0.0], [[0.0, 1.0]]])
+    def test_a_series_of_another_length_than_x_is_named(self, ys):
+        # A longer series used to set the y range from points it never drew.
+        with pytest.raises(ValueError, match=r"series b must hold one value per x value \(2\)"):
+            line_plot_svg([0.0, 1.0], {"a": [0.0, 1.0], "b": ys})

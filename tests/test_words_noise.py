@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minsyn.noise import NOISE_KINDS, apply_noise
+from minsyn.noise import NOISE_KINDS, apply_noise, corrupt_rows, noise_pattern
 from minsyn.words import (
     bundled_common_words,
     bundled_letter_grid,
@@ -13,7 +13,7 @@ from minsyn.words import (
     synthetic_digits,
 )
 
-from _oracles import shift_image, synthetic_digits_per_image
+from _oracles import apply_noise_whole_masks, shift_image, synthetic_digits_per_image
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +189,30 @@ class TestNoise:
         for kind in NOISE_KINDS:
             apply_noise(imgs, kind, seed=0)
         assert np.all(imgs == 1.0)
+
+    @pytest.mark.parametrize("width", [28, 30, 84])
+    def test_same_bytes_as_whole_batch_masks(self, width):
+        imgs = np.random.default_rng(width).random((9, 28 * width))
+        for kind in NOISE_KINDS:
+            for seed in (0, 5):
+                assert apply_noise(imgs, kind, seed).tobytes() == \
+                    apply_noise_whole_masks(imgs, kind, seed).tobytes(), (kind, seed)
+
+    @pytest.mark.parametrize("width", [28, 30])
+    def test_every_row_slice_corrupted_in_place_equals_apply_noise(self, width):
+        imgs = np.random.default_rng(4).random((7, 28 * width))
+        for kind in NOISE_KINDS:
+            whole = apply_noise(imgs, kind, seed=8)
+            pattern = noise_pattern(kind, imgs.shape, seed=8)
+            for start in range(7):
+                for stop in range(start + 1, 8):
+                    block = imgs[start:stop].copy()
+                    corrupt_rows(block, kind,
+                                 None if pattern is None else pattern[start:stop])
+                    assert block.tobytes() == whole[start:stop].tobytes(), (kind, start, stop)
+
+    def test_pattern_checks_kind_then_raster_width(self):
+        with pytest.raises(ValueError, match="noise kind"):
+            noise_pattern("sparkle", (2, 100))
+        with pytest.raises(ValueError, match="rasters"):
+            noise_pattern("none", (2, 100))
