@@ -16,6 +16,8 @@ The script prints, one fact per line:
   `MAX_LATENTS`, drawn from --seed: one binary, one of mixed arities with
   zero cells; for joints of at most 8 latents, also the SHA-256 of
   `to_text()` and of the bytes of `from_text(to_text()).probs`;
+- the SHA-256 of every file `minsyn dataset-build` writes for the word
+  dataset with the built-in glyphs: the manifest and the four IDX files;
 - each checkpoint's `meta` as sorted JSON, the SHA-256 of every
   checkpoint array and of history.csv;
 - for digits configs, the SHA-256 of the training digits' images and
@@ -209,6 +211,8 @@ def main() -> None:
     for line in synergy_digest(out_dir, args.seed):
         print(line, flush=True)
     run(["dataset-build", "--out-dir", out_dir / "data", "--glyphs", "builtin"])
+    for path in sorted((out_dir / "data").iterdir()):
+        print(f"dataset {path.name} {sha(path.read_bytes())}", flush=True)
     print(f"eval digits {digits_sha(EVAL_IMAGES, EVAL_IMAGE_SEED)}", flush=True)
     images, _ = synthetic_digits(EVAL_IMAGES, seed=EVAL_IMAGE_SEED)
     eval_images = out_dir / "eval_images.idx"

@@ -26,8 +26,8 @@ from .nn import LOSS_KINDS, PcaModel, TrainingDivergedError, pca_fit, train_auto
 from .noise import NOISE_KINDS
 from .svg import line_plot_svg
 from .words import (GLYPH_SIDE, WordDataset, build_word_dataset, builtin_glyphs,
-                    bundled_letter_grid, bundled_word_list, char_layout,
-                    load_handwritten_glyphs, synthetic_digits)
+                    bundled_letter_grid, bundled_word_list, load_handwritten_glyphs,
+                    read_word_list, synthetic_digits)
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +62,7 @@ def write_word_dataset(out_dir: Path, ds: WordDataset, glyph_source: str,
     manifest = {
         "kind": "words",
         "glyph_side": GLYPH_SIDE,
-        "word_len": len(ds.letters_by_position),
+        "word_len": ds.num_slots,
         "letters_by_position": [list(g) for g in ds.letters_by_position],
         "train_words": list(ds.train_words),
         "test_words": list(ds.test_words),
@@ -89,17 +89,13 @@ def load_word_dataset(directory) -> tuple:
     if not manifest_path.exists():
         raise DataError(f"no {MANIFEST_NAME} under {d}")
     manifest = json.loads(manifest_path.read_text())
-    grids = tuple(tuple(g) for g in manifest["letters_by_position"])
-    ds = WordDataset(
+    return WordDataset(
         train_images=read_image_rows(d / "train_images.idx"),
         test_images=read_image_rows(d / "test_images.idx"),
         train_words=tuple(manifest["train_words"]),
         test_words=tuple(manifest["test_words"]),
-        letters_by_position=grids,
-        char_layout=char_layout(word_len=manifest["word_len"],
-                                side=manifest["glyph_side"]),
-    )
-    return ds, manifest
+        letters_by_position=tuple(tuple(g) for g in manifest["letters_by_position"]),
+    ), manifest
 
 
 def load_experiment_data(cfg: ExperimentConfig) -> np.ndarray:
@@ -122,8 +118,7 @@ def cmd_dataset_build(args) -> int:
         word_list_path = Path(args.word_list)
         if not word_list_path.exists():
             raise DataError(f"word list not found: {word_list_path}")
-        word_list = [w.strip().lower() for w in word_list_path.read_text().splitlines()
-                     if w.strip()]
+        word_list = read_word_list(word_list_path)
         origin = str(word_list_path)
     else:
         word_list = bundled_word_list()

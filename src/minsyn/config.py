@@ -8,6 +8,7 @@ variable when it is set, else against the current directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,8 @@ def _typed(kind, extra=None):
             v = float(v)
         if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
             raise ConfigError(f"{path}: expected {kind.__name__}, got {type(v).__name__}")
+        if kind is float and not math.isfinite(v):  # json.loads accepts Infinity and NaN
+            raise ConfigError(f"{path}: value {v!r} is not finite")
         if extra is not None and not extra(v):
             raise ConfigError(f"{path}: value {v!r} out of range")
         return v

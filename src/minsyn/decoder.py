@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import RHO_CLAMP, ci_weights
+from .gaussian import ci_weights, clamp, clamp_correlations
 
 # Clamp of the Bernoulli probabilities into [EPS, 1 - EPS].
 EPS = 1e-4
@@ -63,14 +63,6 @@ def _stack_row_blocks(n: int, m: int, build) -> tuple:
         for out, part in zip(stacked, parts):
             out[rows] = part
     return stacked
-
-
-def _clamp(x: np.ndarray, lo: float, hi: float, out=None) -> np.ndarray:
-    """np.clip(x, lo, hi) as two ufunc calls, into ``out`` when given.  The
-    bound comes first in the maximum, which keeps np.clip's bytes: its sign
-    of a zero at the bound and its NaNs."""
-    out = np.maximum(lo, x, out=out)
-    return np.minimum(out, hi, out=out)
 
 
 def _column_means(a: np.ndarray) -> np.ndarray:
@@ -158,7 +150,7 @@ class GaussianStats(_Moments):
         """Clamped correlations of the outputs in ``rows`` with every latent."""
         r = np.subtract(self.xz_mean[rows], self.x_mean[rows, None] * self.z_mean)
         r /= self.x_std[rows, None] * self.z_std
-        return _clamp(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP, out=r)
+        return clamp_correlations(r, out=r)
 
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights,) of the outputs in ``rows``."""
@@ -197,7 +189,7 @@ class BinaryStats(_Moments):
 
     @cached_property
     def px1(self) -> np.ndarray:
-        return _frozen(_clamp(self.x_mean, EPS, 1.0 - EPS))
+        return _frozen(clamp(self.x_mean, EPS, 1.0 - EPS))
 
     @cached_property
     def _supported(self) -> np.ndarray:
@@ -213,7 +205,7 @@ class BinaryStats(_Moments):
             cond = np.subtract(self.z_mean, self.xz_mean[rows])
             cond /= 1.0 - p1
         cond = np.where(self._supported[rows, None], cond, self.z_mean)
-        return _clamp(cond, EPS, 1.0 - EPS, out=cond)
+        return clamp(cond, EPS, 1.0 - EPS, out=cond)
 
     def _readout_rows(self, rows: slice) -> tuple:
         """(weights, summed evidence of the latents being 0) of the outputs
@@ -286,7 +278,7 @@ def binary_batch_stats(x_batch, z_batch) -> BinaryStats:
     [0, 1], so latents that regularizer noise pushed out of range are read
     as probabilities."""
     x, z = _batch_pair(x_batch, z_batch)
-    x, z = _clamp(x, 0.0, 1.0), _clamp(z, 0.0, 1.0)
+    x, z = clamp(x, 0.0, 1.0), clamp(z, 0.0, 1.0)
     xz_mean = x.T @ z
     xz_mean /= x.shape[0]
     return BinaryStats(x_mean=_column_means(x), z_mean=_column_means(z), xz_mean=xz_mean)

@@ -334,11 +334,21 @@ def gaussian_ci_posterior(rho) -> CiPosterior:
     return CiPosterior(*_ci_posterior(r))
 
 
+def clamp(x: np.ndarray, lo: float, hi: float, out=None) -> np.ndarray:
+    """np.clip(x, lo, hi) as two ufunc calls, into ``out`` when given; the
+    bound first in the maximum keeps np.clip's bytes (signed zeros, NaNs)."""
+    out = np.maximum(lo, x, out=out)
+    return np.minimum(out, hi, out=out)
+
+
+def clamp_correlations(r: np.ndarray, out=None) -> np.ndarray:
+    """Correlations clamped to +-(1 - RHO_CLAMP), into ``out`` when given."""
+    return clamp(r, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP, out=out)
+
+
 def _ci_posterior(r: np.ndarray) -> tuple:
-    """(weights, variance) of gaussian_ci_posterior for a 1-D rho.  The clamp
-    puts the bound first in the maximum, which keeps np.clip's bytes."""
-    clamped = np.minimum(np.maximum(-(1.0 - RHO_CLAMP), r), 1.0 - RHO_CLAMP)
-    weights, one_plus_big_r = ci_weights(clamped)
+    """(weights, variance) of gaussian_ci_posterior for a 1-D rho."""
+    weights, one_plus_big_r = ci_weights(clamp_correlations(r))
     return weights, float(1.0 / one_plus_big_r)
 
 

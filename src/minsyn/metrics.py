@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import logging
 import os
 import threading
@@ -198,11 +200,10 @@ def build_report(rows) -> ReportTable:
     items.sort(key=lambda r: r[0])
 
     header = ("method", "train_loss", "test_loss", "acc")
-    csv_lines = [",".join(header)]
-    for m, tr, te, a in items:
-        csv_lines.append(",".join([m, _fmt(tr), _fmt(te), _fmt(a)]))
-
     cells = [header] + [(m, _fmt(tr), _fmt(te), _fmt(a)) for m, tr, te, a in items]
+    # The csv module quotes a name holding a comma, a quote or a newline.
+    csv_text = io.StringIO()
+    csv.writer(csv_text, lineterminator="\n").writerows(cells)
     widths = [max(len(row[c]) for row in cells) for c in range(4)]
     text_lines = []
     for row in cells:
@@ -210,5 +211,5 @@ def build_report(rows) -> ReportTable:
             row[0].ljust(widths[0]) if c == 0 else row[c].rjust(widths[c])
             for c, _ in enumerate(row)))
     return ReportTable(rows=tuple(items),
-                       csv="\n".join(csv_lines) + "\n",
+                       csv=csv_text.getvalue(),
                        text="\n".join(text_lines) + "\n")

@@ -148,8 +148,8 @@ class Regularizer:
             raise ValueError(f"regularizer kind must be one of {REGULARIZER_KINDS}")
         if not (0.0 <= self.p < 1.0):
             raise ValueError("dropout probability must lie in [0, 1)")
-        if not self.sigma >= 0.0:
-            raise ValueError("noise sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("noise sigma must be >= 0 and finite")
         for name in ("p", "sigma"):
             if name != REGULARIZER_PARAMETER[self.kind] and getattr(self, name) != 0.0:
                 raise ValueError(f"regularizer {self.kind} reads no {name!r}")
@@ -242,7 +242,7 @@ class AutoencoderModel:
             raise ValueError("only minsyn decoders derive parameters from statistics")
         if self.ma_state is None or self.ma_state.step_count == 0:
             raise ValueError("no statistics accumulated yet: train before evaluating")
-        return _readout(self.ma_state.stats)
+        return _minsyn_functions(self.decoder_kind)[1](self.ma_state.stats)
 
     def decoder_weight_matrix(self) -> np.ndarray:
         """(n, m) readout weights, for concentration metrics and reports.
@@ -275,11 +275,12 @@ def build_autoencoder(input_dim: int, encoder_spec, decoder_kind: str,
     return AutoencoderModel(encoder=layers, decoder_kind=decoder_kind, decoder=decoder)
 
 
-def _readout(stats) -> DecoderParams:
-    """The MinSyn readout of a batch's or the moving average's statistics."""
-    if isinstance(stats, BinaryStats):
-        return binary_decoder_params(stats)
-    return gaussian_decoder_params(stats)
+def _minsyn_functions(decoder_kind: str) -> tuple:
+    """(batch statistics, readout) functions of a MinSyn decoder kind, read
+    from this module's names at each call, so a rebound name is honoured."""
+    if decoder_kind == "minsyn_binary":
+        return binary_batch_stats, binary_decoder_params
+    return gaussian_batch_stats, gaussian_decoder_params
 
 
 def _feature_sums(terms: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -400,10 +401,9 @@ def _decode(model, x_target, z, mode):
     if model.decoder is not None:
         readout = model.decoder
     elif mode == "train":
-        batch_stats = (binary_batch_stats if model.decoder_kind == "minsyn_binary"
-                       else gaussian_batch_stats)
+        batch_stats, readout_of = _minsyn_functions(model.decoder_kind)
         stats = batch_stats(x_target, z)
-        readout = _readout(stats)
+        readout = readout_of(stats)
     else:
         readout = model.decoder_params_from_average()
     a = z @ readout.weights.T
@@ -483,7 +483,7 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     loss_value = float(np.add.reduce(losses)) / losses.size
     grads = {}
     if model.decoder is None:
-        w = _readout(cache.batch_stats).weights
+        w = _minsyn_functions(model.decoder_kind)[1](cache.batch_stats).weights
     else:
         w = model.decoder.weights
         grads["decoder.weights"] = d_pre.T @ cache.z

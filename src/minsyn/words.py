@@ -10,7 +10,6 @@ the only factors of variation are the three character identities.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from importlib import resources
@@ -96,17 +95,16 @@ class WordDataset:
     train_words: tuple
     test_words: tuple
     letters_by_position: tuple  # WORD_LEN tuples of LETTERS_PER_SLOT chars
-    char_layout: np.ndarray  # pixel index -> slot in {0, .., WORD_LEN-1}
 
     @property
     def num_slots(self) -> int:
         return len(self.letters_by_position)
 
-
-def char_layout(word_len: int = WORD_LEN, side: int = GLYPH_SIDE) -> np.ndarray:
-    """Slot index of every pixel of a row-major (side, side*word_len) raster."""
-    cols = np.arange(side * word_len) // side
-    return np.tile(cols, side)
+    @property
+    def char_layout(self) -> np.ndarray:
+        """Slot index of every pixel of a row-major word raster."""
+        cols = np.arange(GLYPH_SIDE * self.num_slots) // GLYPH_SIDE
+        return np.tile(cols, GLYPH_SIDE)
 
 
 def derive_letters_by_position(words) -> tuple:
@@ -180,29 +178,28 @@ def build_word_dataset(letter_images: dict, word_list,
         train_words=tuple(train_words),
         test_words=tuple(test_words),
         letters_by_position=grids,
-        char_layout=char_layout(),
     )
+
+
+def read_word_list(source) -> list:
+    """The words of a one-word-per-line text file, a path or a package
+    resource: each line stripped and lower-cased, blank lines skipped."""
+    return [w.strip().lower() for w in source.read_text().splitlines() if w.strip()]
 
 
 def bundled_common_words() -> list:
     """The fixed list of common English words shipped with the package."""
-    text = resources.files("minsyn.data").joinpath("common_words.txt").read_text()
-    return [w.strip().lower() for w in text.splitlines() if w.strip()]
+    return read_word_list(resources.files("minsyn.data") / "common_words.txt")
 
 
 def bundled_word_list() -> list:
     """The fixed three-letter English dictionary shipped with the package."""
-    text = resources.files("minsyn.data").joinpath("three_letter_words.txt").read_text()
-    return [w.strip().lower() for w in text.splitlines() if w.strip()]
+    return read_word_list(resources.files("minsyn.data") / "three_letter_words.txt")
 
 
 def bundled_letter_grid() -> tuple:
-    """Per-slot letter sets derived from the bundled common-words list.
-
-    Regenerate with scripts/make_letter_grid.py after editing the word list.
-    """
-    text = resources.files("minsyn.data").joinpath("letter_grid.json").read_text()
-    return tuple(tuple(g) for g in json.loads(text)["letters_by_position"])
+    """Per-slot letter sets derived from the bundled common-words list."""
+    return derive_letters_by_position(bundled_common_words())
 
 
 def load_handwritten_glyphs(directory, letters):

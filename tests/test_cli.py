@@ -51,6 +51,12 @@ class TestDatasetBuild:
         assert len(manifest["train_words"]) == counts["train"]
         assert manifest["glyph_source"] == "builtin"
 
+    def test_loaded_layout_is_the_built_datasets(self, word_data_dir, word_dataset):
+        loaded, manifest = cli.load_word_dataset(word_data_dir)
+        assert np.array_equal(loaded.char_layout, word_dataset.char_layout)
+        assert loaded.char_layout.shape == (manifest["glyph_side"] ** 2 * manifest["word_len"],)
+        assert np.array_equal(loaded.train_images, word_dataset.train_images)
+
     def test_rerun_byte_identical(self, word_data_dir, tmp_path):
         out2 = tmp_path / "again"
         assert main(["dataset-build", "--out-dir", str(out2), "--glyphs", "builtin"]) == 0
@@ -168,6 +174,22 @@ class TestTrain:
         doc["surprise"] = True
         cfg_path = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["lr", "p", "sigma"])
+    def test_non_finite_float_exits_2_at_load(self, tmp_path, capsys, key, value):
+        doc = digits_config(tmp_path)
+        if key == "lr":
+            doc["training"]["lr"] = value
+        else:
+            kind = "dropout" if key == "p" else "input_gaussian_noise"
+            doc["training"]["regularizer"] = {"kind": kind, key: value}
+        cfg_path = write_config(tmp_path, doc)  # json writes Infinity, -Infinity, NaN
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f".{key}: value {value!r} is not finite" in err
+        assert not (tmp_path / doc["name"]).exists()
 
     def test_diverged_training_exits_4(self, tmp_path, capsys):
         doc = digits_config(tmp_path, name="boom", decoder_kind="learned_linear",

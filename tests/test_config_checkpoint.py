@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -13,7 +15,8 @@ from minsyn.checkpoint import (
     save_checkpoint,
 )
 from minsyn.config import ConfigError, load_config, parse_config, resolve_data_path
-from minsyn.nn import DECODER_LOSS, PcaModel, TrainConfig, forward, pca_fit, train_autoencoder
+from minsyn.nn import (DECODER_LOSS, PcaModel, Regularizer, TrainConfig, forward, pca_fit,
+                       train_autoencoder)
 
 GOOD = {
     "name": "demo",
@@ -87,6 +90,27 @@ class TestConfigSchema:
         doc["training"]["regularizer"] = spec
         with pytest.raises(ConfigError, match=f"config.training.regularizer: {message}"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["lr", "p", "sigma"])
+    def test_non_finite_float_rejected_naming_the_key(self, key, value):
+        doc = cfg_dict()
+        if key == "lr":
+            doc["training"]["lr"] = value
+            path = "config.training.lr"
+        else:
+            kind = "dropout" if key == "p" else "latent_gaussian_noise"
+            doc["training"]["regularizer"] = {"kind": kind, key: value}
+            path = f"config.training.regularizer.{key}"
+        # Through the JSON text, which spells them Infinity, -Infinity and NaN.
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: value .* is not finite$"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("kind", ["input_gaussian_noise", "latent_gaussian_noise"])
+    def test_regularizer_rejects_an_infinite_sigma(self, kind):
+        with pytest.raises(ValueError, match="noise sigma must be >= 0 and finite"):
+            Regularizer(kind=kind, sigma=math.inf)
 
     @pytest.mark.parametrize("section,kinds", [
         ("dataset", "['words', 'synthetic_digits', 'idx']"),

@@ -15,9 +15,8 @@ from minsyn.decoder import (
     row_blocks,
     update_moving_average,
     widen_outputs,
-    _clamp,
 )
-from minsyn.gaussian import RHO_CLAMP
+from minsyn.gaussian import RHO_CLAMP, clamp, clamp_correlations
 from minsyn.nn import TrainConfig, sigmoid, train_autoencoder
 
 from _oracles import (
@@ -449,8 +448,14 @@ class TestLeanReadoutBytes:
         # Long enough for the vector loops and their tails.
         v = np.array([-0.0, 0.0, np.nan, -np.nan, -1.0, 2.0, lo, hi, np.inf, -np.inf, 0.5] * 7)
         want = np.clip(v, lo, hi).tobytes()
-        assert _clamp(v, lo, hi).tobytes() == want
-        assert _clamp(v, lo, hi, out=v).tobytes() == want and v.tobytes() == want
+        assert clamp(v, lo, hi).tobytes() == want
+        assert clamp(v, lo, hi, out=v).tobytes() == want and v.tobytes() == want
+
+    def test_correlation_clamp_is_np_clip(self):
+        v = np.array([-0.0, 0.0, np.nan, -1.0, 1.0, 2.0, -0.99995, 0.99995, 0.5] * 7)
+        want = np.clip(v, -(1.0 - RHO_CLAMP), 1.0 - RHO_CLAMP).tobytes()
+        assert clamp_correlations(v).tobytes() == want
+        assert clamp_correlations(v, out=v) is v and v.tobytes() == want
 
     def test_binary_readout_equals_oracle(self):
         x, z = _word_batch(np.random.default_rng(40))

@@ -1,3 +1,5 @@
+import csv
+import io
 import threading
 import tracemalloc
 
@@ -9,8 +11,7 @@ from minsyn.metrics import (acc_score, build_report, noise_losses, reconstructio
                             reconstruction_losses)
 from minsyn.nn import PcaModel, TrainConfig, loss, pca_fit, train_autoencoder
 from minsyn.noise import NOISE_KINDS, apply_noise
-from minsyn.words import (build_word_dataset, builtin_glyphs, bundled_letter_grid,
-                          bundled_word_list, synthetic_digits)
+from minsyn.words import synthetic_digits
 
 from _oracles import pca_reconstruction_mse
 
@@ -177,12 +178,10 @@ class TestReconstructionLoss:
 
     @pytest.mark.parametrize("kind,loss_kind", [("learned_sigmoid", "bce"),
                                                 ("learned_sigmoid", "mse"), ("pca", "mse")])
-    def test_word_splits_equal_whole_batch(self, kind, loss_kind):
+    def test_word_splits_equal_whole_batch(self, word_dataset, kind, loss_kind):
         # 2352-pixel rows into 9 latents: the budget alone would give blocks
         # of 27 images, whose products BLAS runs on its small-matrix kernels.
-        grid = bundled_letter_grid()
-        letters = sorted({ch for g in grid for ch in g})
-        words = build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
+        words = word_dataset
         if kind == "pca":
             model = PcaModel(*pca_fit(words.train_images, 9))
         else:
@@ -284,10 +283,8 @@ class TestNoiseLosses:
             sequential_noise_losses(model, x, kinds, "bce", 3)
         assert threads.started == 1
 
-    def test_word_rasters(self, cpus):
-        grid = bundled_letter_grid()
-        letters = sorted({ch for g in grid for ch in g})
-        words = build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
+    def test_word_rasters(self, cpus, word_dataset):
+        words = word_dataset
         cfg = TrainConfig(epochs=2, batch_size=16, seed=0, lr=0.001,
                           decoder_kind="learned_sigmoid", encoder_spec=((9, "softplus"),))
         learned, _ = train_autoencoder(cfg, words.train_images)
@@ -328,6 +325,12 @@ class TestReport:
         table = build_report([("ae", 1.0, 2.0, 0.5)])
         assert table.csv.splitlines() == ["method,train_loss,test_loss,acc",
                                           "ae,1,2,0.5"]
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "ae"', "two\nlines", "two\r\nlines"])
+    def test_csv_quotes_a_name_with_a_separator(self, name):
+        table = build_report([(name, 1, 2, 0.5)])
+        rows = list(csv.reader(io.StringIO(table.csv, newline="")))
+        assert rows == [["method", "train_loss", "test_loss", "acc"], [name, "1", "2", "0.5"]]
 
     def test_sorted_by_method(self):
         table = build_report([("zeta", 1, 2, 3), ("alpha", 4, 5, 6)])

@@ -33,13 +33,7 @@ from minsyn.nn import (
     softplus,
     train_autoencoder,
 )
-from minsyn.words import (
-    build_word_dataset,
-    builtin_glyphs,
-    bundled_letter_grid,
-    bundled_word_list,
-    synthetic_digits,
-)
+from minsyn.words import synthetic_digits
 
 from _oracles import (
     adam_textbook,
@@ -797,13 +791,11 @@ class TestPixelGroups:
         assert counts == ["training on 7 pixel groups of 16 pixels; the pixels of a group "
                           "are equal in every training image"]
 
-    def test_reference_data_grouping(self):
+    def test_reference_data_grouping(self, word_dataset):
         """The word benchmark renders each letter with one fixed glyph, so its
         training pixels fall into few groups; the digits have no two equal
         pixels.  A data or renderer change that ends the grouping fails here."""
-        grid = bundled_letter_grid()
-        letters = sorted({ch for slot in grid for ch in slot})
-        words = build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
+        words = word_dataset
         cfg = self.config("minsyn_binary", "sigmoid")
         first, group, size = nn._pixel_groups(cfg, words.train_images)
         assert (first.size, group.size) == (49, 2352)

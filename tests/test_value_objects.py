@@ -17,13 +17,7 @@ from minsyn.discrete import DiscreteJoint, ci_decoder_distribution
 from minsyn.gaussian import GaussianSystem, gaussian_ci_posterior
 from minsyn.idx import images_tensor
 from minsyn.nn import DenseLayer, PcaModel, build_autoencoder
-from minsyn.words import build_word_dataset, builtin_glyphs, bundled_letter_grid, bundled_word_list
-
-
-def _word_dataset():
-    grid = bundled_letter_grid()
-    return build_word_dataset(builtin_glyphs({c for g in grid for c in g}),
-                              bundled_word_list(), grid)
+from minsyn.words import WordDataset
 
 
 def _x_z():
@@ -40,7 +34,7 @@ MAKERS = {
     "BinaryStats": lambda: binary_batch_stats(*_x_z()),
     "DecoderParams": lambda: gaussian_batch_stats(*_x_z()).readout,
     "IdxTensor": lambda: images_tensor(np.zeros((2, 28 * 28))),
-    "WordDataset": _word_dataset,
+    "WordDataset": lambda: WordDataset(np.zeros((1, 3)), np.zeros((1, 3)), ("a",), (), ("a",)),
     "Checkpoint": lambda: parse_checkpoint(dump_checkpoint({}, {"a": np.zeros(3)}, {})),
     "DenseLayer": lambda: DenseLayer(np.zeros((2, 2)), np.zeros(2)),
     "AutoencoderModel": lambda: build_autoencoder(4, ((2, "sigmoid"),), "learned_linear"),

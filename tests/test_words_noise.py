@@ -5,22 +5,15 @@ from minsyn.noise import NOISE_KINDS, apply_noise, corrupt_rows, noise_pattern
 from minsyn.words import (
     bundled_common_words,
     bundled_letter_grid,
-    bundled_word_list,
     build_word_dataset,
     builtin_glyph,
     builtin_glyphs,
     derive_letters_by_position,
+    read_word_list,
     synthetic_digits,
 )
 
 from _oracles import apply_noise_whole_masks, shift_image, synthetic_digits_per_image
-
-
-@pytest.fixture(scope="module")
-def word_dataset():
-    grid = bundled_letter_grid()
-    letters = sorted({c for g in grid for c in g})
-    return build_word_dataset(builtin_glyphs(letters), bundled_word_list(), grid)
 
 
 class TestGlyphs:
@@ -39,14 +32,22 @@ class TestGlyphs:
 
 
 class TestLetterGrid:
-    def test_bundled_grid_is_derivable(self):
-        assert bundled_letter_grid() == derive_letters_by_position(bundled_common_words())
+    def test_bundled_grid_letters(self):
+        assert bundled_letter_grid() == (tuple("stwamlbh"), tuple("oeaihnul"),
+                                         tuple("eotranli"))
 
-    def test_shape(self):
-        grid = bundled_letter_grid()
-        assert len(grid) == 3
-        assert all(len(g) == 8 for g in grid)
-        assert all(len(set(g)) == 8 for g in grid)
+    def test_derived_by_count_then_alphabet(self):
+        words = [c * 3 for c in "abcdefgh"] + [" HHH", "ggg\n", "xi", "xi"]
+        assert derive_letters_by_position(words) == (
+            tuple("ghxabcde"), tuple("ghiabcde"), tuple("ghabcdef"))
+        with pytest.raises(ValueError, match="position 2"):
+            derive_letters_by_position(words[:7] + ["xi"] * 3)
+
+    def test_word_lists_read_one_word_per_line(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("The\n\n  cat \r\nDOG\n   \n")
+        assert read_word_list(path) == ["the", "cat", "dog"]
+        assert len(bundled_common_words()) == 300
 
 
 class TestWordDataset:
@@ -77,18 +78,15 @@ class TestWordDataset:
         assert np.array_equal(np.unique(img_cols[:, 28:56]), [1])
         assert np.array_equal(np.unique(img_cols[:, 56:]), [2])
 
-    def test_missing_glyph_raises(self):
-        grid = bundled_letter_grid()
-        letters = sorted({c for g in grid for c in g})
-        glyphs = builtin_glyphs(letters)
-        del glyphs[grid[0][0]]
+    def test_missing_glyph_raises(self, word_dataset):
+        grid = word_dataset.letters_by_position
+        glyphs = builtin_glyphs({c for g in grid for c in g} - {grid[0][0]})
         with pytest.raises(KeyError):
             build_word_dataset(glyphs, ["the"], grid)
 
-    def test_out_of_grid_words_skipped(self, word_dataset, caplog):
-        grid = bundled_letter_grid()
-        letters = sorted({c for g in grid for c in g})
-        ds = build_word_dataset(builtin_glyphs(letters), ["zzz", "the"], grid)
+    def test_out_of_grid_words_skipped(self, word_dataset):
+        grid = word_dataset.letters_by_position
+        ds = build_word_dataset(builtin_glyphs({c for g in grid for c in g}), ["zzz", "the"], grid)
         assert "zzz" not in ds.train_words
 
 
