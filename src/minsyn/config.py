@@ -53,6 +53,14 @@ def _typed(kind, extra=None):
     return check
 
 
+def _run_name(v, path):
+    """A non-empty name on one line: it is a row of the report tables."""
+    v = _typed(str, lambda s: len(s) > 0)(v, path)
+    if "\n" in v or "\r" in v:
+        raise ConfigError(f"{path}: {v!r} holds a line break")
+    return v
+
+
 def _choice(options):
     def check(v, path):
         if v not in options:
@@ -131,7 +139,7 @@ MODELS = {
 
 def parse_config(document: dict) -> ExperimentConfig:
     top = _require_keys(document, "config", {
-        "name": _typed(str, lambda s: len(s) > 0),
+        "name": _run_name,
         "dataset": _kind_section(DATASETS),
         "model": _kind_section(MODELS),
         "output_dir": _typed(str, lambda s: len(s) > 0),

@@ -6,14 +6,13 @@ import csv
 import functools
 import io
 import logging
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoder import row_blocks
-from .nn import _one_blas_thread, sample_losses
+from .nn import _one_blas_thread, _usable_cpus, sample_losses
 from .noise import corrupt_rows, noise_pattern
 
 log = logging.getLogger(__name__)
@@ -110,13 +109,6 @@ def reconstruction_loss(model, x, kind: str, target=None) -> float:
     return _mean_loss(model, target, kind, x.__getitem__)
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _corrupted_block(images, kind, pattern, buffer, rows) -> np.ndarray:
     """The images in ``rows`` corrupted as ``kind``, in the head of ``buffer``."""
     block = buffer[:rows.stop - rows.start]
@@ -188,12 +180,16 @@ def build_report(rows) -> ReportTable:
     """Assemble the method comparison table, sorted by method name.
 
     ``rows`` holds (method, train_loss, test_loss, acc) tuples; duplicate
-    method names are rejected.  Returns CSV and aligned-text renderings.
+    method names, and names that hold a line break, are rejected.  Returns
+    CSV and aligned-text renderings.
     """
     items = [(str(m), float(tr), float(te), float(a)) for m, tr, te, a in rows]
     if not items:
         raise ValueError("report needs at least one row")
     names = [m for m, *_ in items]
+    broken = [n for n in names if "\n" in n or "\r" in n]
+    if broken:
+        raise ValueError(f"method names must not hold a line break: {broken}")
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate method names: {dupes}")
@@ -201,7 +197,7 @@ def build_report(rows) -> ReportTable:
 
     header = ("method", "train_loss", "test_loss", "acc")
     cells = [header] + [(m, _fmt(tr), _fmt(te), _fmt(a)) for m, tr, te, a in items]
-    # The csv module quotes a name holding a comma, a quote or a newline.
+    # The csv module quotes a name holding a comma or a quote.
     csv_text = io.StringIO()
     csv.writer(csv_text, lineterminator="\n").writerows(cells)
     widths = [max(len(row[c]) for row in cells) for c in range(4)]

@@ -13,6 +13,7 @@ import ctypes
 import functools
 import logging
 import math
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -369,7 +370,24 @@ class ForwardCache:
     batch_stats: GaussianStats | BinaryStats | None
 
 
-def _encode(model, x_input, regularizer, rng) -> tuple:
+def _draw_shape(model, regularizer, rows: int) -> tuple | None:
+    """Shape of the regularizer's draw for ``rows`` samples, or None."""
+    if regularizer.is_noop:
+        return None
+    return rows, (model.input_dim if regularizer.kind == "input_gaussian_noise"
+                  else model.latent_dim)
+
+
+def _draw(rng: np.random.Generator, regularizer: Regularizer, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the regularizer's draw: uniforms for dropout,
+    standard normals for the noises.  Filling an array gives the values of
+    drawing its consecutive pieces in turn, so one call can draw an epoch."""
+    if regularizer.kind == "dropout":
+        return rng.random(out=out)
+    return rng.standard_normal(out=out)
+
+
+def _encode(model, x_input, regularizer, draw) -> tuple:
     pre, post = [], []
     h = x_input
     for layer in model.encoder:
@@ -379,13 +397,12 @@ def _encode(model, x_input, regularizer, rng) -> tuple:
         post.append(h)
     dropout_mask = None
     z = h
-    if not regularizer.is_noop:
-        if regularizer.kind == "dropout":
-            keep = 1.0 - regularizer.p
-            dropout_mask = (rng.random(h.shape) < keep) / keep
-            z = h * dropout_mask
-        elif regularizer.kind == "latent_gaussian_noise":
-            z = h + regularizer.sigma * rng.standard_normal(h.shape)
+    if regularizer.kind == "dropout":
+        keep = 1.0 - regularizer.p
+        dropout_mask = (draw < keep) / keep
+        z = h * dropout_mask
+    elif regularizer.kind == "latent_gaussian_noise":
+        z = h + regularizer.sigma * draw
     return pre, post, z, dropout_mask
 
 
@@ -414,20 +431,23 @@ def _decode(model, x_target, z, mode):
     return xbar, a, t, stats
 
 
-def _forward_cached(model, x, mode, regularizer, rng) -> ForwardCache:
+def _forward_cached(model, x, mode, regularizer, rng, draw=None) -> ForwardCache:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape} does not match input dim {model.input_dim}")
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
-    if mode == "eval":
-        regularizer = NO_REGULARIZER  # corruption is training-time only
-    elif not regularizer.is_noop and rng is None:
-        raise ValueError("training with an active regularizer needs an rng")
+    # Corruption is training-time only, and p=0 / sigma=0 draw nothing.
+    if mode == "eval" or regularizer.is_noop:
+        regularizer = NO_REGULARIZER
+    elif draw is None:
+        if rng is None:
+            raise ValueError("training with an active regularizer needs an rng")
+        draw = _draw(rng, regularizer, np.empty(_draw_shape(model, regularizer, x.shape[0])))
     x_input = x
-    if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
-        x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
-    pre, post, z, mask = _encode(model, x_input, regularizer, rng)
+    if regularizer.kind == "input_gaussian_noise":
+        x_input = x + regularizer.sigma * draw
+    pre, post, z, mask = _encode(model, x_input, regularizer, draw)
     xbar, dec_pre, dec_exp, stats = _decode(model, x, z, mode)
     return ForwardCache(x_input=x_input, pre=pre, post=post, z=z,
                         dropout_mask=mask, decoder_pre=dec_pre, decoder_exp=dec_exp,
@@ -449,7 +469,9 @@ def forward(model: AutoencoderModel, x, mode: str = "eval",
 
 def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None,
               regularizer: Regularizer = NO_REGULARIZER,
-              output_weights: np.ndarray | None = None):
+              output_weights: np.ndarray | None = None,
+              input_columns: np.ndarray | None = None,
+              draw: np.ndarray | None = None):
     """Loss and exact parameter gradients for one training batch.
 
     Returns (loss_value, grads keyed like model.parameters(), batch_stats).
@@ -464,12 +486,17 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     ``output_weights`` (n,) counts output i's loss term that many times, as
     if the batch held that many copies of its column: a MinSyn run trains
     one output per group of equal pixels, weighted by the group's size.
+
+    ``input_columns`` takes the first layer's weight gradient over those
+    input columns only, for inputs whose other columns repeat them.
+    ``draw`` is this batch's regularizer draw (``_draw``), made in place of
+    one from ``rng``.
     """
     x = np.asarray(x, dtype=float)
     b = x.shape[0]
     if model.loss_kind == "bce":
         _check_bce_operand("x", x)
-    cache = _forward_cached(model, x, "train", regularizer, rng)
+    cache = _forward_cached(model, x, "train", regularizer, rng, draw)
     if model.loss_kind == "bce":
         losses = _logit_bce_losses(x, cache.decoder_pre, cache.decoder_exp, output_weights)
         d_pre = np.subtract(cache.xbar, x)
@@ -497,7 +524,12 @@ def gradients(model: AutoencoderModel, x, rng: np.random.Generator | None = None
     for i in range(len(model.encoder) - 1, -1, -1):
         layer = model.encoder[i]
         d_a = d_h * _ACTIVATIONS[layer.activation][1](cache.pre[i], cache.post[i])
-        below = cache.post[i - 1] if i > 0 else cache.x_input
+        if i > 0:
+            below = cache.post[i - 1]
+        elif input_columns is None:
+            below = cache.x_input
+        else:
+            below = cache.x_input[:, input_columns]
         grads[f"encoder.{i}.weights"] = d_a.T @ below
         grads[f"encoder.{i}.bias"] = np.add.reduce(d_a, axis=0)
         if i > 0:  # the gradient with respect to the input has no reader
@@ -703,21 +735,49 @@ def train_autoencoder(config: TrainConfig, data) -> tuple:
         return _train(config, data)
 
 
-def _pixel_groups(config: TrainConfig, data: np.ndarray) -> tuple | None:
-    """(first, group, size) of the groups of equal pixels a MinSyn run
-    trains on, or None to train on every pixel.
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    A MinSyn output is read out through its own batch statistics, so pixels
-    whose columns of ``data`` are equal byte for byte get the same readout
-    row, output, loss and encoder gradient, and Adam moves their encoder
-    columns alike.  So a run trains one output per group, weighted by the
-    group's size, and spreads the result back.  Groups are numbered in the
-    order of their first pixel ``first[g]``; ``group[i]`` is pixel i's group
-    and ``size[g]`` its pixel count.  Input noise makes every column differ,
-    so those runs, and runs where no column repeats, train on every pixel."""
+
+@functools.cache
+def _sched_getcpu():
+    """The C library's ``sched_getcpu``, or None where the system has no
+    thread affinity to set or no such call."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        call = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    call.argtypes, call.restype = [], ctypes.c_int
+    return call
+
+
+def _cpus_beside() -> set:
+    """The CPUs this thread may run on other than the one it runs on now,
+    or an empty set where that cannot be told."""
+    getcpu = _sched_getcpu()
+    return set() if getcpu is None else os.sched_getaffinity(0) - {getcpu()}
+
+
+def _pixel_groups(config: TrainConfig, data: np.ndarray) -> tuple | None:
+    """(first, group, size) of the groups of pixels whose columns of
+    ``data`` are equal byte for byte, or None when no column repeats or the
+    run adds input noise, which makes every column differ.
+
+    Groups are numbered in the order of their first pixel ``first[g]``;
+    ``group[i]`` is pixel i's group and ``size[g]`` its pixel count.  The
+    pixels of a group get the same first-layer weight gradient, so Adam
+    moves their encoder columns alike: every run takes that gradient and
+    its Adam moments once per group.  A MinSyn output is also read out
+    through its own batch statistics, so the pixels of a group get the same
+    readout row, output and loss, and a MinSyn run trains one output per
+    group, weighted by the group's size, and spreads the result back."""
     reg = config.regularizer
-    if config.decoder_kind not in MINSYN_KINDS or (
-            reg.kind == "input_gaussian_noise" and not reg.is_noop):
+    if reg.kind == "input_gaussian_noise" and not reg.is_noop:
         return None
     n = data.shape[1]
     columns = np.ascontiguousarray(data.T)
@@ -729,12 +789,94 @@ def _pixel_groups(config: TrainConfig, data: np.ndarray) -> tuple | None:
         if g == len(first):
             first.append(i)
         group.append(g)
-    log.info("training on %d pixel groups of %d pixels; the pixels of a group are "
-             "equal in every training image", len(first), n)
     if len(first) == n:
         return None
+    log.info("training on %d pixel groups of %d pixels; the pixels of a group are "
+             "equal in every training image", len(first), n)
     group = np.array(group, dtype=np.intp)
     return np.array(first, dtype=np.intp), group, np.bincount(group).astype(float)
+
+
+def _draw_epoch(rng, regularizer, samples, order, draws) -> None:
+    """Make one epoch's generator calls in the training loop's order, into
+    buffers: the permutation of ``samples`` (0..N-1) into ``order``, as
+    ``rng.permutation(N)`` draws it, then the regularizer's draw for each
+    batch of two or more samples, one after another, into ``draws`` (None
+    when the regularizer draws nothing)."""
+    order[...] = samples
+    rng.shuffle(order)
+    if draws is not None:
+        _draw(rng, regularizer, draws)
+
+
+@contextmanager
+def _epoch_draws(rng, regularizer, epochs: int, n_samples: int, shape):
+    """Yield ``next_epoch()``, which returns each epoch's (order, draws of
+    ``shape`` or None) in turn, as ``_draw_epoch`` makes them.
+
+    With two usable CPUs and something to draw, a worker thread, the only
+    user of ``rng``, fills a two-epoch ring one epoch ahead of the loop;
+    numpy fills without the interpreter lock.  Every buffer is allocated
+    here: what a thread allocates grows a malloc arena of its own.  The
+    worker keeps off the loop's CPU: the scheduler tends to wake it there,
+    and the two would take turns.  Its error is raised by ``next_epoch`` for
+    the epoch it was drawing, and it is joined before this block exits."""
+    samples = np.arange(n_samples)
+    if shape is None or _usable_cpus() < 2:
+        order, draws = np.empty_like(samples), None if shape is None else np.empty(shape)
+
+        def draw_now() -> tuple:
+            _draw_epoch(rng, regularizer, samples, order, draws)
+            return order, draws
+
+        yield draw_now
+        return
+    orders, ring = np.empty((2, n_samples), dtype=samples.dtype), np.empty((2, *shape))
+    errors = [None, None]  # the error drawing each slot, if any
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    stopping = threading.Event()
+    beside = _cpus_beside()
+
+    def fill() -> None:
+        if beside:
+            try:
+                os.sched_setaffinity(0, beside)
+            except OSError:  # a hint: CPUs can go offline or out of the process's set
+                pass
+        for epoch in range(epochs):
+            free.acquire()
+            if stopping.is_set():
+                return
+            slot = epoch % 2
+            try:
+                _draw_epoch(rng, regularizer, samples, orders[slot], ring[slot])
+            except BaseException as exc:  # raised by next_epoch on the training thread
+                errors[slot] = exc
+                return
+            finally:
+                ready.release()
+
+    served = 0
+
+    def next_epoch() -> tuple:
+        nonlocal served
+        if served:
+            free.release()  # the loop is done with the last epoch's slot
+        ready.acquire()
+        slot = served % 2
+        served += 1
+        if errors[slot] is not None:
+            raise errors[slot]
+        return orders[slot], ring[slot]
+
+    worker = threading.Thread(target=fill, name="minsyn-draws", daemon=True)
+    worker.start()
+    try:
+        yield next_epoch
+    finally:
+        stopping.set()
+        free.release()
+        worker.join()
 
 
 def _train(config: TrainConfig, data) -> tuple:
@@ -744,54 +886,71 @@ def _train(config: TrainConfig, data) -> tuple:
     n_samples, n = data.shape
     model = build_autoencoder(n, config.encoder_spec, config.decoder_kind,
                               seed=config.seed)
-    trained, size = model, None
+    trained, size, columns = model, None, None
     params = model.parameters()
     groups = _pixel_groups(config, data)
     if groups is not None:
-        # The first layer holds each group's summed initial columns plus the
-        # group's size times a shared step, which starts at zero.  Adam moves
-        # the step on the gradient of one member column, so every member
-        # moves as it would alone.
-        first, group, size = groups
+        first, group, group_size = groups
         layer = model.encoder[0]
-        base = np.zeros((layer.fan_out, size.size))
-        np.add.at(base.T, group, layer.weights.T)
-        step = np.zeros_like(base)
-        trained = AutoencoderModel(
-            encoder=[DenseLayer(base.copy(), layer.bias, layer.activation),
-                     *model.encoder[1:]],
-            decoder_kind=model.decoder_kind)
-        params = {**trained.parameters(), "encoder.0.weights": step}
-        data = data[:, first]
+        # Adam's first-layer weights, one column per group.
+        step = np.zeros((layer.fan_out, first.size))
+        if config.decoder_kind in MINSYN_KINDS:
+            # The first layer holds each group's summed initial columns plus
+            # the group's size times a shared step, which starts at zero.
+            # Adam moves the step on the gradient of one member column, so
+            # every member moves as it would alone.
+            base = np.zeros_like(step)
+            np.add.at(base.T, group, layer.weights.T)
+            trained = AutoencoderModel(
+                encoder=[DenseLayer(base.copy(), layer.bias, layer.activation),
+                         *model.encoder[1:]],
+                decoder_kind=model.decoder_kind)
+            params = {**trained.parameters(), "encoder.0.weights": step}
+            size = group_size
+            data = data[:, first]
+        else:
+            # A learned run keeps its full-width forward pass.  The step is
+            # zero before each update, so Adam leaves minus the update in
+            # it: adding that to each member column is subtracting it.
+            params = {**params, "encoder.0.weights": step}
+            columns, spread = first, np.empty_like(layer.weights)
     rng = np.random.default_rng(config.seed + 1)
     opt = AdamState(lr=config.lr)
     history = []
-    if config.epochs and n_samples % config.batch_size == 1:
+    batch_size = config.batch_size
+    dropped = n_samples % batch_size == 1
+    if config.epochs and dropped:
         log.info("dropping the trailing batch of one sample in each of the %d epochs",
                  config.epochs)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n_samples)
-        batch_losses = []
-        for start in range(0, n_samples, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if idx.size == 1:
-                continue
-            batch = data[idx]
-            loss_value, grads, stats = gradients(trained, batch, rng=rng,
-                                                 regularizer=config.regularizer,
-                                                 output_weights=size)
-            if not math.isfinite(loss_value):
-                raise TrainingDivergedError(epoch, start // config.batch_size)
-            adam_step(opt, params, grads)
-            if groups is not None:
-                weights = trained.encoder[0].weights
-                np.multiply(step, size, out=weights)
-                weights += base
-            if stats is not None:
-                trained.ma_state = update_moving_average(trained.ma_state, stats)
-            batch_losses.append(loss_value)
-        history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-    if groups is not None:
+    # The regularizer draws for every sample an epoch trains on.
+    shape = _draw_shape(trained, config.regularizer, n_samples - dropped)
+    with _epoch_draws(rng, config.regularizer, config.epochs, n_samples, shape) as next_epoch:
+        for epoch in range(config.epochs):
+            order, draws = next_epoch()
+            batch_losses = []
+            for start in range(0, n_samples, batch_size):
+                idx = order[start:start + batch_size]
+                if idx.size == 1:
+                    continue
+                loss_value, grads, stats = gradients(
+                    trained, data[idx], regularizer=config.regularizer,
+                    output_weights=size, input_columns=columns,
+                    draw=None if draws is None else draws[start:start + idx.size])
+                if not math.isfinite(loss_value):
+                    raise TrainingDivergedError(epoch, start // batch_size)
+                adam_step(opt, params, grads)
+                if columns is not None:
+                    model.encoder[0].weights += np.take(step, group, axis=1, out=spread)
+                    step.fill(0.0)
+                elif size is not None:
+                    weights = trained.encoder[0].weights
+                    np.multiply(step, size, out=weights)
+                    weights += base
+                if stats is not None:
+                    trained.ma_state = update_moving_average(trained.ma_state, stats)
+                batch_losses.append(loss_value)
+            history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+    if size is not None:
         model.encoder[0].weights += step[:, group]
         ma = trained.ma_state
         if ma.stats is not None:

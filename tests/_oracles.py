@@ -267,9 +267,10 @@ def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
     """Training loss of one forward pass with a MinSyn decoder pinned to
     ``readout``, so the loss is a function of the network parameters alone.
 
-    For MinSyn kinds the latents come from ``nn._encode``, after the input
-    noise is drawn first as a training step draws it, and are read out
-    through ``affine_readout`` (then a sigmoid for the binary decoder).
+    For MinSyn kinds the latents come from ``nn._encode``, given the
+    regularizer's draw made from ``rng`` as a training step makes it, and
+    are read out through ``affine_readout`` (then a sigmoid for the binary
+    decoder).
     Learned kinds run ``nn.forward`` in train mode and pass no readout.
     The reconstruction is scored against the clean input.
     """
@@ -277,10 +278,16 @@ def pinned_readout_loss(model, x, rng, regularizer, readout=None) -> float:
     if readout is None:
         _, xbar = nn.forward(model, x, mode="train", rng=rng, regularizer=regularizer)
     else:
-        x_input = x
-        if regularizer.kind == "input_gaussian_noise" and not regularizer.is_noop:
+        x_input, draw = x, None
+        if regularizer.is_noop:
+            regularizer = nn.NO_REGULARIZER
+        elif regularizer.kind == "input_gaussian_noise":
             x_input = x + regularizer.sigma * rng.standard_normal(x.shape)
-        _, _, z, _ = nn._encode(model, x_input, regularizer, rng)
+        else:
+            shape = (x.shape[0], model.latent_dim)
+            draw = (rng.random(shape) if regularizer.kind == "dropout"
+                    else rng.standard_normal(shape))
+        _, _, z, _ = nn._encode(model, x_input, regularizer, draw)
         xbar = affine_readout(readout, z)
         if model.decoder_kind == "minsyn_binary":
             xbar = nn.sigmoid(xbar)

@@ -1,10 +1,12 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from minsyn import metrics, nn  # noqa: E402
 from minsyn.cli import main  # noqa: E402
 from minsyn.words import (build_word_dataset, builtin_glyphs,  # noqa: E402
                           bundled_letter_grid, bundled_word_list)
@@ -25,3 +27,26 @@ def word_data_dir(tmp_path_factory) -> Path:
     code = main(["dataset-build", "--out-dir", str(out), "--glyphs", "builtin"])
     assert code == 0
     return out
+
+
+class CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs eval's scoring threads and training's draw worker
+    see; returns the class that counts the threads started."""
+    monkeypatch.setattr(CountedThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+
+    def set_cpus(count):
+        for module in (metrics, nn):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: count)
+        return CountedThread
+
+    return set_cpus

@@ -43,6 +43,17 @@ class TestConfigSchema:
         assert cfg.train.decoder_kind == "minsyn_binary"
         assert cfg.train.batch_size == 4
 
+    @pytest.mark.parametrize("name", ["two\nlines", "a\rb", "a\r\nb"])
+    def test_a_name_with_a_line_break_is_rejected(self, name):
+        with pytest.raises(ConfigError, match=rf"^config.name: {re.escape(repr(name))} "
+                                              "holds a line break$"):
+            parse_config(cfg_dict(name=name))
+
+    @pytest.mark.parametrize("name", ["", 7])
+    def test_an_empty_or_non_string_name_is_rejected(self, name):
+        with pytest.raises(ConfigError, match="^config.name: "):
+            parse_config(cfg_dict(name=name))
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys.*bogus"):
             parse_config(cfg_dict(bogus=1))

@@ -228,27 +228,6 @@ def sequential_noise_losses(model, images, kinds, loss_kind, seed):
                                 target=images) for kind in kinds]
 
 
-class CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs noise_losses sees; returns the threads it started."""
-    monkeypatch.setattr(CountedThread, "started", 0)
-    monkeypatch.setattr(metrics.threading, "Thread", CountedThread)
-
-    def set_cpus(count):
-        monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
-        return CountedThread
-
-    return set_cpus
-
-
 class TestNoiseLosses:
     """Threaded, block-corrupted scoring must give the sequential losses bit
     for bit."""
@@ -326,11 +305,19 @@ class TestReport:
         assert table.csv.splitlines() == ["method,train_loss,test_loss,acc",
                                           "ae,1,2,0.5"]
 
-    @pytest.mark.parametrize("name", ["a,b", 'say "ae"', "two\nlines", "two\r\nlines"])
+    @pytest.mark.parametrize("name", ["a,b", 'say "ae"'])
     def test_csv_quotes_a_name_with_a_separator(self, name):
         table = build_report([(name, 1, 2, 0.5)])
         rows = list(csv.reader(io.StringIO(table.csv, newline="")))
         assert rows == [["method", "train_loss", "test_loss", "acc"], [name, "1", "2", "0.5"]]
+
+    @pytest.mark.parametrize("name", ["two\nlines", "two\r\nlines", "a\rb", "end\n"])
+    def test_a_name_with_a_line_break_is_rejected(self, name):
+        # csv.writer leaves a lone \r unquoted, which reads back as two rows,
+        # and any line break splits a row of the text table.
+        with pytest.raises(ValueError, match="must not hold a line break") as err:
+            build_report([("ae", 1, 2, 0.5), (name, 1, 2, 0.5)])
+        assert repr(name) in str(err.value)
 
     def test_sorted_by_method(self):
         table = build_report([("zeta", 1, 2, 3), ("alpha", 4, 5, 6)])

@@ -1,4 +1,5 @@
 import logging
+import os
 import sys
 import threading
 import time
@@ -783,10 +784,29 @@ class TestPixelGroups:
         for name, want in ref_grads.items():
             np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=0, err_msg=name)
 
-    def test_group_count_logged_once_per_run(self, caplog):
-        cfg = self.config("minsyn_binary", "sigmoid", epochs=2)
+    @pytest.mark.parametrize("decoder_kind", ["learned_sigmoid", "learned_linear"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("reg", REGS, ids=lambda r: r.kind)
+    def test_grouped_learned_run_is_the_full_width_run_bit_for_bit(self, decoder_kind,
+                                                                   layers, reg):
+        """A learned run takes its first-layer weight gradient and Adam
+        moments per group and keeps its full-width forward pass."""
+        cfg = self.config(decoder_kind, "softplus", layers, reg)
+        assert nn._pixel_groups(cfg, self.data()) is not None
+        model, history = train_autoencoder(cfg, self.data())
+        ref, ref_history = train_full_width(cfg, self.data())
+        arrays, ref_arrays = model_arrays(model, history)[0], model_arrays(ref, ref_history)[0]
+        assert history == ref_history
+        assert sorted(arrays) == sorted(ref_arrays)
+        for key, want in ref_arrays.items():
+            assert arrays[key].tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("decoder_kind", ["minsyn_binary", "learned_sigmoid"])
+    def test_group_count_logged_once_per_run(self, caplog, decoder_kind):
+        cfg = self.config(decoder_kind, "sigmoid", epochs=2)
         with caplog.at_level(logging.INFO, logger="minsyn.nn"):
             train_autoencoder(cfg, self.data())
+            train_autoencoder(cfg, self.DISTINCT)  # no column repeats: no line
         counts = [r.getMessage() for r in caplog.records if "pixel groups" in r.getMessage()]
         assert counts == ["training on 7 pixel groups of 16 pixels; the pixels of a group "
                           "are equal in every training image"]
@@ -802,6 +822,179 @@ class TestPixelGroups:
         blank = ~words.train_images[:, first].any(axis=0)
         assert size[blank].tolist() == [944.0]
         assert nn._pixel_groups(cfg, synthetic_digits(1000, seed=10)[0]) is None
+
+
+class TestEpochDraws:
+    """A run makes each epoch's generator calls at once: on a worker thread,
+    one epoch ahead, when two CPUs are usable and the regularizer draws.
+    The bytes are those of drawing each batch in turn."""
+
+    DRAWING = [Regularizer(kind="dropout", p=0.3),
+               Regularizer(kind="input_gaussian_noise", sigma=0.2),
+               Regularizer(kind="latent_gaussian_noise", sigma=0.2)]
+
+    @staticmethod
+    def data(samples):
+        """``samples`` images of 16 pixels, some columns repeated."""
+        live = (np.random.default_rng(41).random((samples, 6)) < 0.4).astype(float)
+        return live[:, TestPixelGroups.SOURCE.clip(0)]
+
+    @staticmethod
+    def config(decoder_kind, reg, epochs=3):
+        return TrainConfig(epochs=epochs, batch_size=8, seed=4, lr=0.01,
+                           decoder_kind=decoder_kind, encoder_spec=((5, "softplus"),),
+                           regularizer=reg)
+
+    @pytest.mark.parametrize("reg", DRAWING, ids=lambda r: r.kind)
+    def test_one_fill_is_the_shaped_draws_in_turn(self, reg):
+        rng = np.random.default_rng(3)
+        draw = rng.random if reg.kind == "dropout" else rng.standard_normal
+        want = np.vstack([draw((rows, 4)) for rows in (8, 8, 6)])
+        got = nn._draw(np.random.default_rng(3), reg, np.empty((22, 4)))
+        assert got.tobytes() == want.tobytes()
+
+    # 30 samples in batches of 8 end in a batch of 6; 33 end in one sample,
+    # which is dropped.
+    @pytest.mark.parametrize("samples", [30, 33], ids=["ragged", "dropped"])
+    @pytest.mark.parametrize("decoder_kind", ["learned_sigmoid", "minsyn_binary"])
+    @pytest.mark.parametrize("reg", DRAWING, ids=lambda r: r.kind)
+    def test_bytes_do_not_depend_on_the_cpu_count(self, cpus, reg, decoder_kind,
+                                                  samples):
+        data, cfg = self.data(samples), self.config(decoder_kind, reg)
+        before = threading.active_count()
+        runs = []
+        for count in (1, 2):
+            threads = cpus(count)
+            started = threads.started
+            model, history = train_autoencoder(cfg, data)
+            assert threads.started - started == count - 1
+            assert threading.active_count() == before
+            runs.append(model_arrays(model, history))
+        if decoder_kind == "learned_sigmoid":  # drawn batch by batch, as the run trains
+            ref, ref_history = train_full_width(cfg, data)
+            runs.append(model_arrays(ref, ref_history))
+        (arrays, meta), *others = runs
+        for other, other_meta in others:
+            assert other_meta == meta
+            assert sorted(other) == sorted(arrays)
+            for key, want in arrays.items():
+                assert other[key].tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("count,reg,workers", [
+        (2, Regularizer(kind="dropout", p=0.3), 1),
+        (1, Regularizer(kind="dropout", p=0.3), 0),
+        (2, Regularizer(), 0),
+        (2, Regularizer(kind="input_gaussian_noise", sigma=0.0), 0),
+    ], ids=["drawing", "one_cpu", "none", "noop"])
+    def test_worker_only_on_two_cpus_with_a_drawing_regularizer(self, cpus, count,
+                                                               reg, workers):
+        threads = cpus(count)
+        train_autoencoder(self.config("learned_sigmoid", reg), self.data(30))
+        assert threads.started == workers
+
+    def test_cpus_beside_leave_out_the_callers_cpu(self):
+        beside = nn._cpus_beside()
+        if not hasattr(os, "sched_setaffinity"):
+            assert beside == set()
+            return
+        usable = os.sched_getaffinity(0)
+        assert beside < usable and len(usable - beside) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity")
+    @pytest.mark.parametrize("pin", ["usable", "unusable"])
+    def test_the_worker_runs_beside_the_loop(self, cpus, monkeypatch, pin):
+        """The worker keeps to ``_cpus_beside``; a set the system refuses
+        leaves it where it is, and the caller's affinity never changes."""
+        cpus(2)
+        before = os.sched_getaffinity(0)
+        beside = {min(before)} if pin == "usable" else {10 ** 5}
+        monkeypatch.setattr(nn, "_cpus_beside", lambda: beside)
+        draw_epoch, seen = nn._draw_epoch, []
+
+        def recording(*args):
+            seen.append(os.sched_getaffinity(0))
+            return draw_epoch(*args)
+
+        monkeypatch.setattr(nn, "_draw_epoch", recording)
+        cfg = self.config("learned_sigmoid", self.DRAWING[2])
+        model, history = train_autoencoder(cfg, self.data(30))
+        assert seen == [beside if pin == "usable" else before] * cfg.epochs
+        assert os.sched_getaffinity(0) == before
+        ref, ref_history = train_full_width(cfg, self.data(30))
+        assert history == ref_history
+
+    def test_a_diverging_run_joins_the_worker(self, cpus):
+        threads = cpus(2)
+        before = threading.active_count()
+        cfg = TrainConfig(epochs=3, batch_size=4, seed=0, lr=1e9,
+                          decoder_kind="learned_linear", encoder_spec=((3, "identity"),),
+                          regularizer=Regularizer(kind="latent_gaussian_noise", sigma=0.1))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+            train_autoencoder(cfg, TestTraining.DATA * 1e150)
+        assert threads.started == 1
+        assert threading.active_count() == before
+
+    def test_a_raising_step_joins_the_worker(self, cpus, monkeypatch):
+        threads = cpus(2)
+        before = threading.active_count()
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(nn, "gradients", fails)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train_autoencoder(self.config("learned_sigmoid", self.DRAWING[0], epochs=50),
+                              self.data(30))
+        assert threads.started == 1
+        assert threading.active_count() == before
+
+    def test_a_worker_error_is_raised_on_the_caller(self, cpus, monkeypatch):
+        threads = cpus(2)
+        before = threading.active_count()
+        draw_epoch, callers = nn._draw_epoch, []
+
+        def fails_on_the_second_epoch(*args):
+            callers.append(threading.current_thread())
+            if len(callers) == 2:
+                raise RuntimeError("draws failed")
+            return draw_epoch(*args)
+
+        monkeypatch.setattr(nn, "_draw_epoch", fails_on_the_second_epoch)
+        with pytest.raises(RuntimeError, match="draws failed"):
+            train_autoencoder(self.config("learned_sigmoid", self.DRAWING[1]), self.data(30))
+        assert threads.started == 1
+        assert len(callers) == 2 and threading.main_thread() not in callers
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_keep_their_bytes(self, cpus):
+        """More threads than CPUs, switching as often as the interpreter
+        lets them: a slot refilled before its epoch was trained would change
+        the bytes."""
+        cpus(2)
+        data = self.data(33)
+        configs = [self.config("learned_sigmoid", reg, epochs=20) for reg in self.DRAWING]
+        want = [train_full_width(cfg, data) for cfg in configs]
+        got = [None] * len(configs)
+
+        def run(i):
+            got[i] = train_autoencoder(configs[i], data)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        for (model, history), (ref, ref_history) in zip(got, want):
+            assert history == ref_history
+            arrays, ref_arrays = model_arrays(model, history)[0], model_arrays(ref, ref_history)[0]
+            for key, ref in ref_arrays.items():
+                assert arrays[key].tobytes() == ref.tobytes(), key
 
 
 class TestPca:
