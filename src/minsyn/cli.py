@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, IdxParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (DataError, IdxParseError, OSError, ValueError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

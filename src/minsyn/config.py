@@ -186,6 +186,8 @@ def load_config(path) -> ExperimentConfig:
         document = json.loads(p.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from None
     return parse_config(document)

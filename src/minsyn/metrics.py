@@ -6,7 +6,7 @@ import csv
 import functools
 import io
 import logging
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,37 +126,29 @@ def noise_losses(model, images, kinds, loss_kind: str, seed: int = 0) -> list:
     ``apply_noise`` draws it, and each scoring block is copied from the
     clean images and corrupted in place, so no corrupted copy of the whole
     set is held.  The distinct kinds are scored on as many threads as there
-    are kinds or usable CPUs, whichever is fewer, this one included, under
-    one OpenBLAS pin held here.  Each image's loss depends on its own row
-    alone, so the losses do not depend on the thread count.  The images and
-    kinds are checked before any thread starts.
+    are kinds or usable CPUs, whichever is fewer: this one scores its own
+    share and a pool of workers the others, under one OpenBLAS pin held
+    here, and a worker's error is raised here.  Each image's loss depends on
+    its own row alone, so the losses do not depend on the thread count.  The
+    images and kinds are checked before any thread starts.
     """
     images = np.ascontiguousarray(images, dtype=float)
     tasks = [(kind, noise_pattern(kind, images.shape, seed)) for kind in dict.fromkeys(kinds)]
     longest = max(rows.stop - rows.start for rows in _score_blocks(model, images))
     losses = {}
-    errors = []
 
     def score(share) -> None:
-        try:
-            buffer = np.empty((longest, images.shape[1]))
-            for kind, pattern in share:
-                inputs = functools.partial(_corrupted_block, images, kind, pattern, buffer)
-                losses[kind] = _mean_loss(model, images, loss_kind, inputs)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+        buffer = np.empty((longest, images.shape[1]))
+        for kind, pattern in share:
+            inputs = functools.partial(_corrupted_block, images, kind, pattern, buffer)
+            losses[kind] = _mean_loss(model, images, loss_kind, inputs)
 
     threads = max(1, min(len(tasks), _usable_cpus()))
-    workers = [threading.Thread(target=score, args=(tasks[t::threads],))
-               for t in range(1, threads)]
-    with _one_blas_thread():
-        for worker in workers:
-            worker.start()
+    with _one_blas_thread(), ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        shares = [pool.submit(score, tasks[t::threads]) for t in range(1, threads)]
         score(tasks[::threads])
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+        for share in shares:
+            share.result()
     return [losses[kind] for kind in kinds]
 
 

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -328,21 +329,6 @@ def sample_losses(x: np.ndarray, xbar: np.ndarray, kind: str) -> np.ndarray:
     if kind == "bce":
         _check_bce_operand("x", x)
         _check_bce_operand("xbar", xb)
-    return _sample_losses(x, xb, kind)
-
-
-def loss(x: np.ndarray, xbar: np.ndarray, kind: str) -> float:
-    """Reconstruction loss: sum over features, mean over the batch, i.e. the
-    mean of ``sample_losses``."""
-    return float(sample_losses(x, xbar, kind).mean())
-
-
-def _sample_losses(x: np.ndarray, xb: np.ndarray, kind: str) -> np.ndarray:
-    """``sample_losses`` without the range checks, for float arrays of one
-    shape."""
-    if kind == "mse":
-        return ((x - xb) ** 2).sum(axis=-1)
-    if kind == "bce":
         xc = np.clip(xb, BCE_CLAMP, 1.0 - BCE_CLAMP)
         # -(x * log(xc) + (1 - x) * log1p(-xc)) in its own operation order, so
         # the floats do not change, but in place to skip the temporaries.
@@ -354,7 +340,15 @@ def _sample_losses(x: np.ndarray, xb: np.ndarray, kind: str) -> np.ndarray:
         terms += xc
         np.negative(terms, out=terms)
         return terms.sum(axis=-1)
+    if kind == "mse":
+        return ((x - xb) ** 2).sum(axis=-1)
     raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+
+
+def loss(x: np.ndarray, xbar: np.ndarray, kind: str) -> float:
+    """Reconstruction loss: sum over features, mean over the batch, i.e. the
+    mean of ``sample_losses``."""
+    return float(sample_losses(x, xbar, kind).mean())
 
 
 @dataclass(eq=False)
@@ -811,72 +805,52 @@ def _draw_epoch(rng, regularizer, samples, order, draws) -> None:
 
 @contextmanager
 def _epoch_draws(rng, regularizer, epochs: int, n_samples: int, shape):
-    """Yield ``next_epoch()``, which returns each epoch's (order, draws of
-    ``shape`` or None) in turn, as ``_draw_epoch`` makes them.
+    """Yield ``next_epoch(epoch)``, which returns the epoch's (order, draws
+    of ``shape`` or None), as ``_draw_epoch`` makes them; it is called for
+    epochs 0, 1, ... in turn.
 
-    With two usable CPUs and something to draw, a worker thread, the only
-    user of ``rng``, fills a two-epoch ring one epoch ahead of the loop;
-    numpy fills without the interpreter lock.  Every buffer is allocated
-    here: what a thread allocates grows a malloc arena of its own.  The
-    worker keeps off the loop's CPU: the scheduler tends to wake it there,
-    and the two would take turns.  Its error is raised by ``next_epoch`` for
-    the epoch it was drawing, and it is joined before this block exits."""
+    With two usable CPUs, something to draw and an epoch to train, one
+    worker, the only user of ``rng``, fills a two-epoch ring one epoch ahead
+    of the loop; numpy fills without the interpreter lock.  Every buffer is
+    allocated here: what a thread allocates grows a malloc arena of its own.
+    The worker keeps off the loop's CPU: the scheduler tends to wake it
+    there, and the two would take turns.  Its error is raised by
+    ``next_epoch`` for the epoch it was drawing, and it is joined before
+    this block exits."""
     samples = np.arange(n_samples)
-    if shape is None or _usable_cpus() < 2:
+    if shape is None or not epochs or _usable_cpus() < 2:
         order, draws = np.empty_like(samples), None if shape is None else np.empty(shape)
 
-        def draw_now() -> tuple:
+        def draw_now(epoch) -> tuple:
             _draw_epoch(rng, regularizer, samples, order, draws)
             return order, draws
 
         yield draw_now
         return
     orders, ring = np.empty((2, n_samples), dtype=samples.dtype), np.empty((2, *shape))
-    errors = [None, None]  # the error drawing each slot, if any
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-    stopping = threading.Event()
     beside = _cpus_beside()
 
-    def fill() -> None:
+    def keep_beside() -> None:
         if beside:
             try:
                 os.sched_setaffinity(0, beside)
             except OSError:  # a hint: CPUs can go offline or out of the process's set
                 pass
-        for epoch in range(epochs):
-            free.acquire()
-            if stopping.is_set():
-                return
-            slot = epoch % 2
-            try:
-                _draw_epoch(rng, regularizer, samples, orders[slot], ring[slot])
-            except BaseException as exc:  # raised by next_epoch on the training thread
-                errors[slot] = exc
-                return
-            finally:
-                ready.release()
 
-    served = 0
+    def draw(slot):
+        return pool.submit(_draw_epoch, rng, regularizer, samples, orders[slot], ring[slot])
 
-    def next_epoch() -> tuple:
-        nonlocal served
-        if served:
-            free.release()  # the loop is done with the last epoch's slot
-        ready.acquire()
-        slot = served % 2
-        served += 1
-        if errors[slot] is not None:
-            raise errors[slot]
+    def next_epoch(epoch) -> tuple:
+        nonlocal pending
+        pending.result()
+        slot = epoch % 2
+        if epoch + 1 < epochs:  # into the slot the loop has just finished with
+            pending = draw(1 - slot)
         return orders[slot], ring[slot]
 
-    worker = threading.Thread(target=fill, name="minsyn-draws", daemon=True)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, "minsyn-draws", initializer=keep_beside) as pool:
+        pending = draw(0)
         yield next_epoch
-    finally:
-        stopping.set()
-        free.release()
-        worker.join()
 
 
 def _train(config: TrainConfig, data) -> tuple:
@@ -926,7 +900,7 @@ def _train(config: TrainConfig, data) -> tuple:
     shape = _draw_shape(trained, config.regularizer, n_samples - dropped)
     with _epoch_draws(rng, config.regularizer, config.epochs, n_samples, shape) as next_epoch:
         for epoch in range(config.epochs):
-            order, draws = next_epoch()
+            order, draws = next_epoch(epoch)
             batch_losses = []
             for start in range(0, n_samples, batch_size):
                 idx = order[start:start + batch_size]

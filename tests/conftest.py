@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import sys
 import threading
 from pathlib import Path
@@ -37,6 +39,22 @@ class CountedThread(threading.Thread):
         super().start()
 
 
+# A test that starts threads and has not ended after this many seconds has
+# stalled: the run ends with every thread's stack, written to the stderr the
+# run started with, which pytest does not capture.
+THREADED_TEST_SECONDS = 300
+_stall_report_fd = None
+
+
+def pytest_configure(config):
+    global _stall_report_fd
+    _stall_report_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_stall_report_fd)
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set how many CPUs eval's scoring threads and training's draw worker
@@ -49,4 +67,7 @@ def cpus(monkeypatch):
             monkeypatch.setattr(module, "_usable_cpus", lambda: count)
         return CountedThread
 
-    return set_cpus
+    faulthandler.dump_traceback_later(THREADED_TEST_SECONDS, exit=True,
+                                      file=_stall_report_fd)
+    yield set_cpus
+    faulthandler.cancel_dump_traceback_later()

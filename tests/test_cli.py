@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestDatasetBuild:
                      "--emnist-dir", str(tmp_path / "nope")])
         assert code == 2
         assert not out.exists()  # no partial output
+
+    def test_out_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("taken")
+        assert main(["dataset-build", "--out-dir", str(out), "--glyphs", "builtin"]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert out.read_text() == "taken"
 
     def test_emnist_glyphs_loaded_and_transposed(self, tmp_path):
         # fake handwritten-letters pair: one stored sample per letter, saved
@@ -174,6 +182,23 @@ class TestTrain:
         doc["surprise"] = True
         cfg_path = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        cfg_path = tmp_path / "run.json"
+        if kind == "directory":
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(b'{"name": "\xff"}')
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"error: cannot read config file {cfg_path}" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
+        doc = digits_config(tmp_path, epochs=1)
+        Path(doc["output_dir"]).write_text("taken")
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert Path(doc["output_dir"]).read_text() == "taken"
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
                              ids=["inf", "-inf", "nan"])
@@ -509,13 +534,18 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "no.msck"),
                      "--images", str(images)]) == 3
 
+    def test_checkpoint_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        images = self._digit_images(tmp_path)
+        assert main(["eval", "--checkpoint", str(tmp_path), "--images", str(images)]) == 3
+        assert "data error:" in capsys.readouterr().err
+
     def test_images_that_are_not_rasters_exit_3_before_any_thread(self, tmp_path, capsys,
                                                                   monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(metrics.threading, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         images = tmp_path / "narrow.idx"
         write_idx_file(images, IdxTensor(dims=(3, 27, 27), data=np.zeros(3 * 27 * 27)))
         assert main(["eval", "--checkpoint", str(self._identity_checkpoint(tmp_path, 729)),

@@ -892,6 +892,13 @@ class TestEpochDraws:
         train_autoencoder(self.config("learned_sigmoid", reg), self.data(30))
         assert threads.started == workers
 
+    def test_no_worker_for_zero_epochs(self, cpus):
+        threads = cpus(2)
+        _, history = train_autoencoder(
+            self.config("learned_sigmoid", Regularizer(kind="dropout", p=0.3), epochs=0),
+            self.data(30))
+        assert history == [] and threads.started == 0
+
     def test_cpus_beside_leave_out_the_callers_cpu(self):
         beside = nn._cpus_beside()
         if not hasattr(os, "sched_setaffinity"):
